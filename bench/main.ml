@@ -281,6 +281,85 @@ let snapshot_bench () =
   close_out oc;
   print_endline "wrote BENCH_snapshot.json\n"
 
+(* --- Capture microbenchmark (BENCH_capture.json) -----------------------
+
+   PinPlay capture against a plain run of the same program: a fat
+   [Logger.capture_many] of three 50k-instruction regions, starting at
+   a quarter, half and three quarters of the program, vs
+   [Run.native] to completion. Both legs build their own machine, so
+   the ratio is what capture adds to running the program. Interleaved
+   best-of-5 with the leg order alternating per round, on four SPEC
+   CPU2017 intrate train stand-ins; the ROADMAP gate is capture <= 1.2x
+   the plain run. The @capture-smoke runtest guard checks a looser
+   bound on a smaller program. *)
+
+let capture_rounds = 5
+let capture_region_length = 50_000L
+
+let capture_programs =
+  [ "500.perlbench_r"; "502.gcc_r"; "505.mcf_r"; "520.omnetpp_r" ]
+
+let capture_bench () =
+  print_endline "=== Capture microbenchmark (capture_many vs plain run) ===";
+  let module Metrics = Elfie_obs.Metrics in
+  let m_hooked = Metrics.counter "elfie_logger_hooked_instructions_total" in
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    Unix.gettimeofday () -. t0
+  in
+  let row name =
+    let b =
+      List.find
+        (fun (b : Elfie_workloads.Suite.benchmark) -> b.bname = name)
+        Elfie_workloads.Suite.spec2017_int_train
+    in
+    let rs = Elfie_workloads.Programs.run_spec b.spec in
+    let total = (Elfie_pin.Run.native rs).Elfie_pin.Run.retired in
+    let requests =
+      List.map
+        (fun q ->
+          ( Printf.sprintf "q%d" q,
+            { Elfie_pin.Logger.start = Int64.div (Int64.mul total (Int64.of_int q)) 4L;
+              length = capture_region_length } ))
+        [ 1; 2; 3 ]
+    in
+    let plain () = Elfie_pin.Run.native rs in
+    let capture () = Elfie_pin.Logger.capture_many rs requests in
+    let hooked0 = Metrics.total m_hooked in
+    let best_plain = ref infinity and best_capture = ref infinity in
+    for r = 0 to capture_rounds - 1 do
+      let legs =
+        [ (best_plain, fun () -> time plain); (best_capture, fun () -> time capture) ]
+      in
+      List.iter
+        (fun (best, leg) -> best := min !best (leg ()))
+        (if r land 1 = 0 then legs else List.rev legs)
+    done;
+    let hooked = Metrics.total m_hooked -. hooked0 in
+    let ratio = !best_capture /. !best_plain in
+    Printf.printf
+      "capture/%-18s plain %7.1f ms  capture %7.1f ms  %5.2fx  (best of %d)\n%!"
+      name (1000. *. !best_plain) (1000. *. !best_capture) ratio capture_rounds;
+    if ratio > 1.2 then
+      Printf.printf "WARNING: capture %.2fx a plain run (gate 1.2x)\n%!" ratio;
+    if hooked > 0. then
+      Printf.printf "WARNING: fat capture retired %.0f hooked instructions\n%!"
+        hooked;
+    Printf.sprintf
+      "    { \"name\": \"capture/%s\", \"plain_s\": %.6f, \"capture_s\": \
+       %.6f, \"ratio\": %.3f, \"retired\": %Ld, \"regions\": 3, \
+       \"region_length\": %Ld, \"hooked_instructions\": %.0f, \"rounds\": %d }"
+      (json_escape name) !best_plain !best_capture ratio total
+      capture_region_length hooked capture_rounds
+  in
+  let rows = List.map row capture_programs in
+  let oc = open_out "BENCH_capture.json" in
+  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" rows);
+  close_out oc;
+  print_endline "wrote BENCH_capture.json\n"
+
 (* --- Farm store microbenchmark (BENCH_farm.json) -----------------------
 
    The same small manifest run twice against one artifact store: the
@@ -625,6 +704,7 @@ let () =
   let farm_only = ref false in
   let daemon_only = ref false in
   let snapshot_only = ref false in
+  let capture_only = ref false in
   let rec parse = function
     | "--jobs" :: n :: rest ->
         jobs := (try int_of_string n with _ -> 0);
@@ -643,6 +723,9 @@ let () =
         parse rest
     | "--snapshot" :: rest | "--snapshot-only" :: rest ->
         snapshot_only := true;
+        parse rest
+    | "--capture" :: rest | "--capture-only" :: rest ->
+        capture_only := true;
         parse rest
     | "--core-kernel" :: k :: rest ->
         (* Diagnostic: run the core microbenchmark on a single kernel
@@ -685,10 +768,15 @@ let () =
     snapshot_bench ();
     exit 0
   end;
+  if !capture_only then begin
+    capture_bench ();
+    exit 0
+  end;
   core_bench ();
   if !core_only then exit 0;
   simpoint_bench ();
   snapshot_bench ();
+  capture_bench ();
   farm_bench ();
   farm_daemon_bench ();
   print_endline "=== Bechamel micro-benchmarks (one per table/figure) ===";

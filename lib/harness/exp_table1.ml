@@ -53,6 +53,8 @@ let run () =
   Buffer.add_string buf
     "\nNote: the paper reports ~15x (ST) / ~40x (MT) for constrained replay\n\
      because Pin JIT-instruments a real processor; here both sides run on\n\
-     the same interpreter, so only the relative ordering (ELFie ~ native,\n\
-     logging > native) is meaningful.\n";
+     the same interpreter, and Vpin has no JIT cost. A fat capture attaches\n\
+     no instrumentation, so logging pays only for the copy-on-write\n\
+     region-start snapshot and the syscall and schedule records, and runs\n\
+     at about native speed. Only the ordering ELFie ~ native is meaningful.\n";
   Buffer.contents buf

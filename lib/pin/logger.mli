@@ -3,12 +3,25 @@
     The program runs natively up to the region start (measured in
     aggregate instructions over all threads, the PinPoints convention),
     a checkpoint of registers, memory and OS-visible state is taken,
-    and the region itself then runs under instrumentation that records
+    and the region itself then runs while the logger records
 
     - the initial content of every page the region touches (lean mode)
       or of every mapped page ([-log:fat] mode, [~fat:true]),
     - each system call's result and kernel memory side effects,
     - the thread interleaving actually executed.
+
+    Capture is windowed and hook-free wherever it can be. System calls
+    and the schedule come from the kernel's recorder and the machine's
+    schedule recording, which cost no instrumentation. The memory
+    checkpoint is a copy-on-write {!Elfie_machine.Addr_space.freeze}:
+    no page is copied at region start, and the running program copies
+    only the pages it later writes. The one Vpin tool the logger owns,
+    the touched-page tracker, is needed only for lean pinballs, and is
+    attached only while a lean region is being recorded. Fast-forward
+    and fat capture therefore run on the machine's uninstrumented chain
+    tier. Instructions retired with the tracker attached are counted in
+    [elfie_logger_hooked_instructions_total]; each call is traced as a
+    [logger.capture] span.
 
     The result replays deterministically under {!Replayer} and converts
     to an ELFie with {!Elfie_core.Pinball2elf}. *)
@@ -42,9 +55,10 @@ val capture :
 
 (** [capture_many spec requests] checkpoints several (possibly
     overlapping) regions in a single execution of the program — the
-    PinPoints batch mode. Results are keyed by request name; regions the
-    program ended before reaching are reported with
-    [reached_end = false] and a truncated (possibly empty) pinball. *)
+    PinPoints batch mode. Results are keyed by request name. A region
+    the program exits inside is reported with [reached_end = false] and
+    a truncated pinball; a region whose start the program never reaches
+    is dropped from the result. *)
 val capture_many :
   ?fat:bool ->
   ?scheduler:Elfie_machine.Machine.scheduler ->
