@@ -418,135 +418,6 @@ let farm_bench () =
   close_out oc;
   print_endline "wrote BENCH_farm.json\n"
 
-(* --- Farm daemon microbenchmark (BENCH_daemon.json) --------------------
-
-   The farm manifest run three times against a two-shard daemon fleet:
-
-   - cold: a fresh local store and both daemons empty — every stage
-     computes, and write-through populates the shards;
-   - warm-through-daemon: a FRESH local store, so every artifact can
-     only come from the daemons — zero program executions;
-   - warm-one-shard-down: another fresh local store with one daemon
-     stopped — keys owned by the dead shard degrade to recompute, the
-     run completes, and the result is still correct.
-
-   Wall time, hit/miss/run counters and the client's fallback-recompute
-   counter are written to BENCH_daemon.json. *)
-
-let farm_daemon_bench () =
-  print_endline
-    "=== Farm daemon microbenchmark (cold vs warm vs degraded) ===";
-  let module Metrics = Elfie_obs.Metrics in
-  let module Store = Elfie_farm.Store in
-  let module Daemon = Elfie_farm.Daemon in
-  let module Shard = Elfie_farm.Shard in
-  let m_hits = Metrics.counter "elfie_store_hits_total" in
-  let m_misses = Metrics.counter "elfie_store_misses_total" in
-  let m_loader = Metrics.counter "elfie_loader_runs_total" in
-  let m_fallbacks =
-    Metrics.counter "elfie_daemon_fallback_recomputes_total"
-  in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "elfie_bench_daemon.%d" (Unix.getpid ()))
-  in
-  Unix.mkdir root 0o755;
-  let jobs =
-    match Elfie_farm.Driver.manifest_of_string ~artifact:"bench" farm_manifest
-    with
-    | Ok jobs -> jobs
-    | Error d -> Fmt.failwith "daemon bench manifest: %a" Elfie_util.Diag.pp d
-  in
-  let shard_daemon name =
-    let store = Store.open_store (Filename.concat root name) in
-    Daemon.start ~store
-      ~socket_path:(Filename.concat root (name ^ ".sock"))
-      ()
-  in
-  let da = shard_daemon "shard_a" and db = shard_daemon "shard_b" in
-  let endpoints = [ Daemon.socket_path da; Daemon.socket_path db ] in
-  let pass name local =
-    let local = Store.open_store (Filename.concat root local) in
-    let shard = Shard.connect ~local ~endpoints () in
-    let h0 = Metrics.total m_hits
-    and m0 = Metrics.total m_misses
-    and r0 = Metrics.total m_loader
-    and f0 = Metrics.total m_fallbacks in
-    let t0 = Unix.gettimeofday () in
-    let batch =
-      Fun.protect
-        ~finally:(fun () -> Shard.close shard)
-        (fun () -> Elfie_farm.Driver.run ~store:local ~shard jobs)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let hits = int_of_float (Metrics.total m_hits -. h0)
-    and misses = int_of_float (Metrics.total m_misses -. m0)
-    and runs = int_of_float (Metrics.total m_loader -. r0)
-    and fallbacks = int_of_float (Metrics.total m_fallbacks -. f0) in
-    Printf.printf
-      "%-26s %8.3f s  %4d hit(s) %4d miss(es) %4d program run(s) %4d \
-       fallback(s)\n%!"
-      name wall hits misses runs fallbacks;
-    if batch.Elfie_farm.Driver.b_quarantined > 0 then
-      Printf.printf "WARNING: %d job(s) quarantined\n%!"
-        batch.Elfie_farm.Driver.b_quarantined;
-    ( runs,
-      Printf.sprintf
-        "    { \"name\": \"%s\", \"wall_s\": %.6f, \"hits\": %d, \
-         \"misses\": %d, \"program_runs\": %d, \"fallback_recomputes\": %d }"
-        (json_escape name) wall hits misses runs fallbacks )
-  in
-  let _, cold = pass "daemon/cold" "local_cold" in
-  (* Fresh local store: every artifact must come over the wire. *)
-  let warm_runs, warm = pass "daemon/warm-through-daemon" "local_warm" in
-  if warm_runs > 0 then
-    Printf.printf
-      "WARNING: warm-through-daemon executed %d program run(s), expected 0\n%!"
-      warm_runs;
-  (* One shard down: completion over purity — the run must finish, keys
-     owned by the dead shard recompute locally. *)
-  Daemon.stop db;
-  let _, degraded = pass "daemon/warm-one-shard-down" "local_degraded" in
-  (* Telemetry scrape overhead: what one `elfied top` refresh costs the
-     surviving shard — full Prometheus exposition over the wire through
-     a monitor router, measured per scrape. *)
-  let scrape =
-    let ep = Daemon.socket_path da in
-    let monitor = Shard.monitor ~endpoints:[ ep ] () in
-    Fun.protect
-      ~finally:(fun () -> Shard.close monitor)
-      (fun () ->
-        let n = 50 in
-        let lat = Array.make n 0.0 in
-        let bytes = ref 0 in
-        for i = 0 to n - 1 do
-          let t0 = Unix.gettimeofday () in
-          (match Shard.scrape_metrics monitor ep with
-          | Ok exposition -> bytes := String.length exposition
-          | Error e -> Fmt.failwith "metrics scrape failed: %s" e);
-          lat.(i) <- Unix.gettimeofday () -. t0
-        done;
-        Array.sort compare lat;
-        let avg_ms = Array.fold_left ( +. ) 0.0 lat /. float_of_int n *. 1e3 in
-        let min_ms = lat.(0) *. 1e3 and max_ms = lat.(n - 1) *. 1e3 in
-        Printf.printf
-          "%-26s %8.3f ms avg  %8.3f ms max  (%d scrapes, %d exposition \
-           bytes)\n\
-           %!"
-          "daemon/metrics-scrape" avg_ms max_ms n !bytes;
-        Printf.sprintf
-          "    { \"name\": \"daemon/metrics-scrape\", \"scrapes\": %d, \
-           \"exposition_bytes\": %d, \"avg_ms\": %.6f, \"min_ms\": %.6f, \
-           \"max_ms\": %.6f }"
-          n !bytes avg_ms min_ms max_ms)
-  in
-  Daemon.stop da;
-  let oc = open_out "BENCH_daemon.json" in
-  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" [ cold; warm; degraded; scrape ]);
-  close_out oc;
-  print_endline "wrote BENCH_daemon.json\n"
-
 let tiny_spec ?(threads = 1) name =
   Elfie_workloads.Programs.spec
     ~phases:
@@ -702,7 +573,6 @@ let () =
   let core_only = ref false in
   let simpoint_only = ref false in
   let farm_only = ref false in
-  let daemon_only = ref false in
   let snapshot_only = ref false in
   let capture_only = ref false in
   let rec parse = function
@@ -717,9 +587,6 @@ let () =
         parse rest
     | "--farm" :: rest | "--farm-only" :: rest ->
         farm_only := true;
-        parse rest
-    | "--daemon" :: rest | "--daemon-only" :: rest ->
-        daemon_only := true;
         parse rest
     | "--snapshot" :: rest | "--snapshot-only" :: rest ->
         snapshot_only := true;
@@ -760,10 +627,6 @@ let () =
     farm_bench ();
     exit 0
   end;
-  if !daemon_only then begin
-    farm_daemon_bench ();
-    exit 0
-  end;
   if !snapshot_only then begin
     snapshot_bench ();
     exit 0
@@ -778,7 +641,6 @@ let () =
   snapshot_bench ();
   capture_bench ();
   farm_bench ();
-  farm_daemon_bench ();
   print_endline "=== Bechamel micro-benchmarks (one per table/figure) ===";
   run_benchmarks ();
   print_endline "=== Paper evaluation: every table and figure ===\n";

@@ -319,60 +319,25 @@ let decode_measurement payload =
         m_failures })
     payload
 
-(* --- backends --------------------------------------------------------------- *)
-
-type backend = {
-  fetch :
-    'a.
-    ?on_result:([ `Hit | `Miss ] -> unit) ->
-    Store.key ->
-    format:int ->
-    encode:('a -> string) ->
-    decode:(string -> ('a, Diag.t) result) ->
-    (unit -> 'a) ->
-    'a;
-}
-
-let store_backend store =
-  {
-    fetch =
-      (fun ?on_result key ~format ~encode ~decode f ->
-        Store.get_or_compute_v ?on_result store key ~format ~encode ~decode f);
-  }
-
 (* --- cached compute wrappers ------------------------------------------------ *)
 
-let fetch_bbv ?on_result b key f =
-  b.fetch ?on_result key ~format:(format Store.Bbv) ~encode:encode_bbv
-    ~decode:decode_bbv f
-
-let fetch_selection ?on_result b key f =
-  b.fetch ?on_result key ~format:(format Store.Simpoint)
-    ~encode:encode_selection ~decode:decode_selection f
-
-let fetch_pinball ?on_result b key ~name f =
-  b.fetch ?on_result key ~format:(format Store.Pinball)
-    ~encode:encode_pinball ~decode:(decode_pinball ~name) f
-
-let fetch_elfie ?on_result b key f =
-  b.fetch ?on_result key ~format:(format Store.Elfie) ~encode:encode_elfie
-    ~decode:decode_elfie f
-
-let fetch_measurement ?on_result b key f =
-  b.fetch ?on_result key ~format:(format Store.Measurement)
-    ~encode:encode_measurement ~decode:decode_measurement f
-
 let cached_bbv ?on_result store key f =
-  fetch_bbv ?on_result (store_backend store) key f
+  Store.get_or_compute_v ?on_result store key ~format:(format Store.Bbv)
+    ~encode:encode_bbv ~decode:decode_bbv f
 
 let cached_selection ?on_result store key f =
-  fetch_selection ?on_result (store_backend store) key f
+  Store.get_or_compute_v ?on_result store key ~format:(format Store.Simpoint)
+    ~encode:encode_selection ~decode:decode_selection f
 
 let cached_pinball ?on_result store key ~name f =
-  fetch_pinball ?on_result (store_backend store) key ~name f
+  Store.get_or_compute_v ?on_result store key ~format:(format Store.Pinball)
+    ~encode:encode_pinball ~decode:(decode_pinball ~name) f
 
 let cached_elfie ?on_result store key f =
-  fetch_elfie ?on_result (store_backend store) key f
+  Store.get_or_compute_v ?on_result store key ~format:(format Store.Elfie)
+    ~encode:encode_elfie ~decode:decode_elfie f
 
 let cached_measurement ?on_result store key f =
-  fetch_measurement ?on_result (store_backend store) key f
+  Store.get_or_compute_v ?on_result store key
+    ~format:(format Store.Measurement) ~encode:encode_measurement
+    ~decode:decode_measurement f

@@ -93,70 +93,10 @@ type measurement = {
 val encode_measurement : measurement -> string
 val decode_measurement : string -> (measurement, Elfie_util.Diag.t) result
 
-(** {1 Backends}
-
-    A backend is anywhere an artifact can be fetched-or-computed: the
-    local {!Store} directly, or a {!Shard} router that tiers a local
-    store under remote daemon shards. The polymorphic [fetch] field has
-    exactly the shape of {!Store.get_or_compute_v}, so every cached
-    wrapper below works unchanged over either tier. *)
-
-type backend = {
-  fetch :
-    'a.
-    ?on_result:([ `Hit | `Miss ] -> unit) ->
-    Store.key ->
-    format:int ->
-    encode:('a -> string) ->
-    decode:(string -> ('a, Elfie_util.Diag.t) result) ->
-    (unit -> 'a) ->
-    'a;
-}
-
-(** The plain local-store backend. *)
-val store_backend : Store.t -> backend
-
 (** {1 Cached compute wrappers}
 
-    [fetch_* backend key f] specialises the backend's fetch to the
-    kind's codec and format version; [cached_* store key f] is the same
-    over {!store_backend} (i.e. {!Store.get_or_compute_v}). *)
-
-val fetch_bbv :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  backend ->
-  Store.key ->
-  (unit -> Elfie_pin.Bbv.profile) ->
-  Elfie_pin.Bbv.profile
-
-val fetch_selection :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  backend ->
-  Store.key ->
-  (unit -> Elfie_simpoint.Simpoint.selection) ->
-  Elfie_simpoint.Simpoint.selection
-
-val fetch_pinball :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  backend ->
-  Store.key ->
-  name:string ->
-  (unit -> Elfie_pinball.Pinball.t) ->
-  Elfie_pinball.Pinball.t
-
-val fetch_elfie :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  backend ->
-  Store.key ->
-  (unit -> Elfie_elf.Image.t * Elfie_pin.Sysstate.t) ->
-  Elfie_elf.Image.t * Elfie_pin.Sysstate.t
-
-val fetch_measurement :
-  ?on_result:([ `Hit | `Miss ] -> unit) ->
-  backend ->
-  Store.key ->
-  (unit -> measurement) ->
-  measurement
+    [cached_* store key f] is {!Store.get_or_compute_v} specialised to
+    the kind's codec and format version. *)
 
 val cached_bbv :
   ?on_result:([ `Hit | `Miss ] -> unit) ->

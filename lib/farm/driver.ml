@@ -70,14 +70,19 @@ let manifest_of_string ~artifact contents =
     | name :: kvs -> (
         let bench = ref None and p = ref default_params in
         let bad = ref None in
-        let set_i64 f v =
+        (* Values arrive from outside the program: a zero slice size
+           never advances the profiler, and zero trials, clusters or
+           dimensions silently yield a meaningless job. *)
+        let set_i64 ?(min = Int64.min_int) k f v =
           match Int64.of_string_opt v with
-          | Some v -> p := f !p v
+          | Some n when n >= min -> p := f !p n
+          | Some _ -> bad := Some (Printf.sprintf "%s=%s is below %Ld" k v min)
           | None -> bad := Some (Printf.sprintf "not an integer: %s" v)
         in
-        let set_int f v =
+        let set_int ~min k f v =
           match int_of_string_opt v with
-          | Some v -> p := f !p v
+          | Some n when n >= min -> p := f !p n
+          | Some _ -> bad := Some (Printf.sprintf "%s=%s is below %d" k v min)
           | None -> bad := Some (Printf.sprintf "not an integer: %s" v)
         in
         List.iter
@@ -90,15 +95,18 @@ let manifest_of_string ~artifact contents =
                 let v = String.sub kv (i + 1) (String.length kv - i - 1) in
                 match k with
                 | "bench" -> bench := Some v
-                | "slice" -> set_i64 (fun p v -> { p with slice_size = v }) v
-                | "max-k" -> set_int (fun p v -> { p with max_k = v }) v
-                | "dims" -> set_int (fun p v -> { p with dims = v }) v
-                | "warmup" -> set_i64 (fun p v -> { p with warmup = v }) v
-                | "trials" -> set_int (fun p v -> { p with trials = v }) v
-                | "seed" -> set_i64 (fun p v -> { p with base_seed = v }) v
-                | "sp-seed" -> set_i64 (fun p v -> { p with sp_seed = v }) v
+                | "slice" ->
+                    set_i64 ~min:1L k (fun p v -> { p with slice_size = v }) v
+                | "max-k" -> set_int ~min:1 k (fun p v -> { p with max_k = v }) v
+                | "dims" -> set_int ~min:1 k (fun p v -> { p with dims = v }) v
+                | "warmup" ->
+                    set_i64 ~min:0L k (fun p v -> { p with warmup = v }) v
+                | "trials" ->
+                    set_int ~min:1 k (fun p v -> { p with trials = v }) v
+                | "seed" -> set_i64 k (fun p v -> { p with base_seed = v }) v
+                | "sp-seed" -> set_i64 k (fun p v -> { p with sp_seed = v }) v
                 | "regions" ->
-                    set_int (fun p v -> { p with max_regions = v }) v
+                    set_int ~min:0 k (fun p v -> { p with max_regions = v }) v
                 | k -> bad := Some (Printf.sprintf "unknown key %s" k)))
           kvs;
         match (!bad, !bench) with
@@ -171,14 +179,14 @@ let workdir = "/work"
    whole chain without executing the program once, and a [max_k] change
    recomputes only the selection and downstream stages (the cached BBV
    profile is reused). *)
-let compute_job ~backend ~count j =
+let compute_job ~store ~count j =
   let p = j.j_params in
   let program =
     Bytes.to_string (Elfie_elf.Image.write (Programs.image j.j_spec))
   in
   let run_spec () = Programs.run_spec ~seed:p.base_seed j.j_spec in
   let profile =
-    Codec.fetch_bbv ~on_result:count backend
+    Codec.cached_bbv ~on_result:count store
       (Codec.bbv_key ~program ~slice_size:p.slice_size ~seed:p.base_seed ())
       (fun () ->
         Trace.with_span "farm.profile"
@@ -196,7 +204,7 @@ let compute_job ~backend ~count j =
     }
   in
   let sel =
-    Codec.fetch_selection ~on_result:count backend
+    Codec.cached_selection ~on_result:count store
       (Codec.selection_key ~program ~params:sp_params ~seed:p.base_seed ())
       (fun () ->
         Trace.with_span "farm.select"
@@ -225,7 +233,7 @@ let compute_job ~backend ~count j =
     @@ fun _ ->
     let pb_name = Printf.sprintf "%s_c%d" j.j_name r.cluster in
     let pinball =
-      Codec.fetch_pinball ~on_result:count backend
+      Codec.cached_pinball ~on_result:count store
         (Codec.pinball_key ~program ~start:r.start ~length:r.length
            ~seed:p.base_seed ())
         ~name:pb_name
@@ -240,7 +248,7 @@ let compute_job ~backend ~count j =
           cap.Elfie_pin.Logger.pinball)
     in
     let image, sysstate =
-      Codec.fetch_elfie ~on_result:count backend
+      Codec.cached_elfie ~on_result:count store
         (Codec.elfie_key ~program ~start:r.start ~length:r.length
            ~warmup:r.warmup_actual ~seed:p.base_seed ())
         (fun () ->
@@ -257,7 +265,7 @@ let compute_job ~backend ~count j =
           (Elfie_core.Pinball2elf.convert ~options pinball, sysstate))
     in
     let m =
-      Codec.fetch_measurement ~on_result:count backend
+      Codec.cached_measurement ~on_result:count store
         (Codec.measurement_key ~program ~start:r.start ~length:r.length
            ~warmup:r.warmup_actual ~trials:p.trials ~base_seed:p.base_seed)
         (fun () ->
@@ -304,21 +312,8 @@ let compute_job ~backend ~count j =
     (if den > 0.0 then Some (num /. den) else None),
     profile.Elfie_pin.Bbv.total_instructions )
 
-let run_job ~store ?shard ?journal ?(resume = true) j =
-  Elfie_obs.Log.info "farm.job"
-    ~attrs:
-      [
-        ("job", Trace.S j.j_name);
-        ("tier", Trace.S (match shard with Some _ -> "sharded" | None -> "local"));
-      ];
-  (* With a shard router, every stage fetch tiers local-store-first,
-     then the key's owning daemon, then compute — shard trouble degrades
-     to the plain local path. *)
-  let backend =
-    match shard with
-    | Some sh -> Shard.backend sh
-    | None -> Codec.store_backend store
-  in
+let run_job ~store ?journal ?(resume = true) j =
+  Elfie_obs.Log.info "farm.job" ~attrs:[ ("job", Trace.S j.j_name) ];
   let hits = ref 0 and misses = ref 0 in
   let count = function `Hit -> incr hits | `Miss -> incr misses in
   let report, value =
@@ -327,7 +322,7 @@ let run_job ~store ?shard ?journal ?(resume = true) j =
     Supervisor.supervise ~job:j.j_name ?journal ~resume
       ~inputs:(job_inputs j)
       (fun ~attempt_no:_ ~seed:_ ~budget:_ ->
-        let sel, regions, pred, total_ins = compute_job ~backend ~count j in
+        let sel, regions, pred, total_ins = compute_job ~store ~count j in
         ( Some
             {
               jr_name = j.j_name;
@@ -363,7 +358,7 @@ type batch = {
   b_store_quarantines : Store.quarantine list;
 }
 
-let run ?jobs ~store ?shard ?journal ?resume specs =
+let run ?jobs ~store ?journal ?resume specs =
   let names = List.map (fun j -> j.j_name) specs in
   if List.length (List.sort_uniq compare names) <> List.length names then
     invalid_arg "Elfie_farm.Driver.run: duplicate job names in manifest";
@@ -372,7 +367,7 @@ let run ?jobs ~store ?shard ?journal ?resume specs =
   let outcomes =
     Elfie_util.Pool.map ?jobs
       ~label:(fun i -> labels.(i))
-      (fun j -> run_job ~store ?shard ?journal ?resume j)
+      (fun j -> run_job ~store ?journal ?resume j)
       specs
   in
   let count f = List.length (List.filter f outcomes) in

@@ -43,11 +43,13 @@ val job_inputs : job -> string list
 
     One job per non-comment line:
 
-    {v <name> bench=<suite benchmark> [slice=N] [max-k=N] [warmup=N]
-       [trials=N] [seed=N] [regions=N] v}
+    {v <name> bench=<suite benchmark> [slice=N] [max-k=N] [dims=N]
+       [warmup=N] [trials=N] [seed=N] [sp-seed=N] [regions=N] v}
 
     [bench] must name an {!Elfie_workloads.Suite} benchmark; blank lines
-    and [#] comments are ignored. *)
+    and [#] comments are ignored. [slice], [max-k], [dims] and [trials]
+    must be at least 1, [warmup] and [regions] at least 0; any other
+    value is a [Malformed] diagnostic naming the line. *)
 
 val manifest_of_string :
   artifact:string -> string -> (job list, Elfie_util.Diag.t) result
@@ -93,12 +95,9 @@ type batch = {
 
 (** Run one job (supervised, cache-backed). With [resume] and a
     [journal], a job whose latest record is graceful for the same
-    inputs is skipped without running. With [shard], every stage fetch
-    tiers local store → owning daemon → compute ({!Shard}); a shard
-    outage degrades to the local path. *)
+    inputs is skipped without running. *)
 val run_job :
   store:Store.t ->
-  ?shard:Shard.t ->
   ?journal:Elfie_supervise.Journal.t ->
   ?resume:bool ->
   job ->
@@ -111,7 +110,6 @@ val run_job :
 val run :
   ?jobs:int ->
   store:Store.t ->
-  ?shard:Shard.t ->
   ?journal:Elfie_supervise.Journal.t ->
   ?resume:bool ->
   job list ->

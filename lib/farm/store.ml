@@ -13,9 +13,6 @@ let kind_name = function
   | Elfie -> "elfie"
   | Measurement -> "measurement"
 
-let kind_of_name name =
-  List.find_opt (fun k -> kind_name k = name) all_kinds
-
 type key = { kind : kind; key_digest : string }
 
 (* Percent-escape the characters that carry structure in the normalized
@@ -49,9 +46,7 @@ let key kind ~program params =
   in
   { kind; key_digest = Digest.to_hex (Digest.string material) }
 
-let kind_of_key k = k.kind
 let digest k = k.key_digest
-let key_of_digest kind key_digest = { kind; key_digest }
 
 let pp_key fmt k =
   Format.fprintf fmt "%s/%s" (kind_name k.kind) k.key_digest

@@ -4,9 +4,9 @@
     Every pipeline artifact (pinball, BBV profile, SimPoint selection,
     ELFie, measurement record) is keyed by a stable digest of the
     {e program bytes} plus its {e normalized parameters}, so duplicate
-    submissions across a fleet hit cache instead of re-executing, and a
-    changed parameter (say [max_k]) re-keys only the artifacts it
-    actually affects (incremental SimPoint reuse).
+    submissions from any driver sharing the store hit cache instead of
+    re-executing, and a changed parameter (say [max_k]) re-keys only
+    the artifacts it actually affects (incremental SimPoint reuse).
 
     Crash-safety contract:
 
@@ -43,9 +43,6 @@ val all_kinds : kind list
 (** Stable directory/label name: ["pinball"], ["bbv"], ... *)
 val kind_name : kind -> string
 
-(** Inverse of {!kind_name}; [None] for an unknown label. *)
-val kind_of_name : string -> kind option
-
 (** A content address: artifact kind + digest of program bytes and
     normalized parameters. *)
 type key
@@ -55,15 +52,8 @@ type key
     the address; [program] is hashed, not stored. *)
 val key : kind -> program:string -> (string * string) list -> key
 
-val kind_of_key : key -> kind
 val digest : key -> string
 val pp_key : Format.formatter -> key -> unit
-
-(** Rehydrate a key from its kind and digest — the wire form used by
-    the farm daemon protocol, where only the content address travels.
-    The digest is not re-derivable from anything, so a mistyped digest
-    simply addresses an absent artifact. *)
-val key_of_digest : kind -> string -> key
 
 type t
 

@@ -167,30 +167,23 @@ type req_result =
 
 let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
     ?(base_seed = 2000L) ?second_base_seed ?(with_simulation = false)
-    ?(max_alternates = 3) ?(max_seed_retries = 2) ?journal ?store ?shard
+    ?(max_alternates = 3) ?(max_seed_retries = 2) ?journal ?store
     ?(elfie_options = fun (_ : Simpoint.region) o -> o)
     (b : Elfie_workloads.Suite.benchmark) =
   let run_spec = Elfie_workloads.Programs.run_spec b.spec in
   (* With a farm store attached, the profile and selection are served
      from the content-addressed cache when the program bytes and
      parameters match a previous run; the farm's key layering means a
-     changed [max_k] still hits the cached BBV profile. A shard router
-     adds the remote daemon tier between the local store and compute. *)
-  let backend =
-    match (shard, store) with
-    | Some sh, _ -> Some (Elfie_farm.Shard.backend sh)
-    | None, Some store -> Some (Elfie_farm.Codec.store_backend store)
-    | None, None -> None
-  in
-  let cached kind_key fetch_fn compute =
-    match backend with
+     changed [max_k] still hits the cached BBV profile. *)
+  let cached kind_key cached_fn compute =
+    match store with
     | None -> compute ()
-    | Some bk ->
+    | Some store ->
         let program =
           Bytes.to_string
             (Elfie_elf.Image.write (Elfie_workloads.Programs.image b.spec))
         in
-        fetch_fn bk (kind_key ~program) compute
+        cached_fn store (kind_key ~program) compute
   in
   let profile =
     Trace.with_span "pipeline.profile"
@@ -200,7 +193,7 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
           (fun ~program ->
             Elfie_farm.Codec.bbv_key ~program
               ~slice_size:params.Simpoint.slice_size ())
-          (fun bk k f -> Elfie_farm.Codec.fetch_bbv bk k f)
+          Elfie_farm.Codec.cached_bbv
           (fun () ->
             Elfie_pin.Bbv.profile run_spec
               ~slice_size:params.Simpoint.slice_size))
@@ -210,7 +203,7 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
         let sel =
           cached
             (fun ~program -> Elfie_farm.Codec.selection_key ~program ~params ())
-            (fun bk k f -> Elfie_farm.Codec.fetch_selection bk k f)
+            Elfie_farm.Codec.cached_selection
             (fun () -> Simpoint.select ?jobs ~params profile)
         in
         Trace.add_attr sp "k" (Trace.I (Int64.of_int sel.Simpoint.k));

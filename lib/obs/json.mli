@@ -1,9 +1,8 @@
 (** A minimal JSON value type, parser and printer.
 
     Just enough JSON for the observability layer's own formats: the
-    Chrome [trace_event] files {!Trace.to_chrome} writes (parsed back by
-    [elfied trace-merge]), and the one-object-per-line event log
-    {!Log} emits. Numbers are floats, [\u] escapes above U+00FF decode
+    Chrome [trace_event] files {!Trace.to_chrome} writes, and the
+    one-object-per-line event log {!Log} emits. Numbers are floats, [\u] escapes above U+00FF decode
     to ['?']; this is not a general-purpose JSON library and is not
     meant to be one. *)
 

@@ -25,10 +25,9 @@ type event = {
 
 (* Bounded ring: [ring.(i)] holds the (head - size + i mod cap)-th
    oldest accepted event. All state below is process-global and fed
-   from pool worker domains and daemon handler threads, so every
-   mutation takes [lock]; the sink write happens inside the same
-   critical section so concurrent writers can never interleave (tear)
-   JSONL lines. *)
+   from pool worker domains, so every mutation takes [lock]; the sink
+   write happens inside the same critical section so concurrent writers
+   can never interleave (tear) JSONL lines. *)
 let lock = Mutex.create ()
 let default_capacity = 2048
 let ring : event option array ref = ref (Array.make default_capacity None)
@@ -37,7 +36,6 @@ let size = ref 0
 let emitted_count = ref 0
 let min_level = ref Debug
 let sink : out_channel option ref = ref None
-let flight = ref (None : string option)
 
 let[@inline] locked f = Mutex.protect lock f
 
@@ -138,13 +136,13 @@ let info ?attrs name = log Info ?attrs name
 let warn ?attrs name = log Warn ?attrs name
 let error ?attrs name = log Error ?attrs name
 
-let recent_unlocked limit =
-  let cap = Array.length !ring in
-  let n = match limit with Some l -> min l !size | None -> !size in
-  List.filter_map Fun.id
-    (List.init n (fun i -> !ring.((!head - n + i + (2 * cap)) mod cap)))
+let recent ?limit () =
+  locked (fun () ->
+      let cap = Array.length !ring in
+      let n = match limit with Some l -> min l !size | None -> !size in
+      List.filter_map Fun.id
+        (List.init n (fun i -> !ring.((!head - n + i + (2 * cap)) mod cap))))
 
-let recent ?limit () = locked (fun () -> recent_unlocked limit)
 let emitted () = locked (fun () -> !emitted_count)
 
 let to_jsonl ?limit () =
@@ -159,90 +157,6 @@ let set_sink path =
           (fun path ->
             open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path)
           path)
-
-let set_flight_path path = flight := path
-let flight_path () = !flight
-
-(* The dump may run from a signal handler that interrupted a thread
-   already holding [lock]; never block there — fall back to a racy read
-   of the ring, which is exactly right for a crash snapshot. *)
-let dump ?(reason = "dump") ?path () =
-  let target = match path with Some _ -> path | None -> !flight in
-  match target with
-  | None -> None
-  | Some file ->
-      let events =
-        if Mutex.try_lock lock then (
-          let evs = recent_unlocked None in
-          Mutex.unlock lock;
-          evs)
-        else recent_unlocked None
-      in
-      let trailer =
-        {
-          ev_ts = Unix.gettimeofday ();
-          ev_level = Info;
-          ev_name = "flight.dump";
-          ev_pid = Unix.getpid ();
-          ev_attrs =
-            [
-              ("reason", Trace.S reason);
-              ("events", Trace.I (Int64.of_int (List.length events)));
-              ("trace_id", Trace.S (Trace.hex_id (Trace.trace_id ())));
-            ];
-        }
-      in
-      (try
-         let oc = open_out_bin file in
-         List.iter
-           (fun ev ->
-             output_string oc (render ev);
-             output_char oc '\n')
-           (events @ [ trailer ]);
-         close_out oc
-       with Sys_error _ -> ());
-      Some file
-
-(* OCaml's [Sys] signal numbers are its own (negative) encoding; name
-   the common ones so dump reasons read "signal:sigterm", not
-   "signal:-11". *)
-let signal_name s =
-  if s = Sys.sigint then "sigint"
-  else if s = Sys.sigterm then "sigterm"
-  else if s = Sys.sighup then "sighup"
-  else if s = Sys.sigquit then "sigquit"
-  else if s = Sys.sigusr1 then "sigusr1"
-  else if s = Sys.sigusr2 then "sigusr2"
-  else if s = Sys.sigsegv then "sigsegv"
-  else if s = Sys.sigabrt then "sigabrt"
-  else if s = Sys.sigpipe then "sigpipe"
-  else if s = Sys.sigalrm then "sigalrm"
-  else string_of_int s
-
-let install_dump_on_signal signals =
-  List.iter
-    (fun s ->
-      try
-        let previous = Sys.signal s Sys.Signal_default in
-        let chained sig_no =
-          let (_ : string option) =
-            dump ~reason:("signal:" ^ signal_name sig_no) ()
-          in
-          match previous with
-          | Sys.Signal_handle f ->
-              (* Chain to whatever was installed before (e.g. the
-                 daemon's stop-flag handler). *)
-              f sig_no
-          | Sys.Signal_ignore -> ()
-          | Sys.Signal_default ->
-              (* Preserve fatal-signal semantics: dump, then die of the
-                 same signal. *)
-              Sys.set_signal sig_no Sys.Signal_default;
-              Unix.kill (Unix.getpid ()) sig_no
-        in
-        Sys.set_signal s (Sys.Signal_handle chained)
-      with Invalid_argument _ | Sys_error _ -> ())
-    signals
 
 let reset () =
   locked (fun () ->

@@ -1,6 +1,5 @@
 (** Structured event log: leveled, typed-attribute JSONL events in a
-    bounded in-memory ring, with an optional file sink and a crash
-    flight recorder.
+    bounded in-memory ring, with an optional file sink.
 
     Where {!Trace} answers "how long did each stage take" and
     {!Metrics} answers "how much of everything happened", [Log] answers
@@ -12,19 +11,10 @@
 
     The ring is process-global and domain-safe: emission, the ring
     update and the optional sink write happen under one mutex, so
-    concurrent writers from the {!Elfie_util.Pool} domains or daemon
-    handler threads never tear a line. The ring is bounded (default
-    2048 events, {!set_capacity}); old events fall off silently —
-    {!emitted} counts everything ever accepted.
-
-    {b Flight recorder.} {!set_flight_path} names a file; {!dump}
-    writes the ring there as JSONL plus a [flight.dump] trailer event
-    (reason, event count, trace ID). The shard client dumps on every
-    degrade-to-recompute, and {!install_dump_on_signal} arranges a dump
-    on fatal signals — chaining to the previously installed handler, or
-    re-raising the signal after the dump when the previous disposition
-    was the default (so a [SIGTERM]'d daemon still dies of SIGTERM,
-    leaving its last moments on disk). *)
+    concurrent writers from the {!Elfie_util.Pool} domains never tear a
+    line. The ring is bounded (default 2048 events, {!set_capacity});
+    old events fall off silently — {!emitted} counts everything ever
+    accepted. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -77,24 +67,5 @@ val parse_line : string -> event option
     created if needed); [None] closes the sink. *)
 val set_sink : string option -> unit
 
-(** Where {!dump} writes when called without [path]. *)
-val set_flight_path : string option -> unit
-
-val flight_path : unit -> string option
-
-(** Write the ring (plus a [flight.dump] trailer naming [reason]) to
-    [path], or to the configured flight path; [None] when neither is
-    set. Never raises and never blocks — safe from signal handlers. *)
-val dump : ?reason:string -> ?path:string -> unit -> string option
-
-(** Dump on each of the given signals ([Sys.sigterm] etc.), then chain
-    to the previous handler (or re-raise the signal if the previous
-    disposition was default). *)
-val install_dump_on_signal : int list -> unit
-
-(** Human name of an OCaml [Sys] signal number ([Sys.sigterm] →
-    ["sigterm"]); the raw number for unrecognised signals. *)
-val signal_name : int -> string
-
-(** Clear the ring and counters (sink and flight path are kept). *)
+(** Clear the ring and counters (the sink is kept). *)
 val reset : unit -> unit

@@ -268,116 +268,6 @@ let exposition () =
     (ordered_entries ());
   Buffer.contents b
 
-type sample = {
-  s_name : string;
-  s_labels : (string * string) list;
-  s_value : float;
-}
-
-(* Parser for the text format [exposition] produces, used by the fleet
-   scraper on bytes that crossed the wire. Tolerant: comment lines,
-   blank lines and malformed samples are skipped rather than failing the
-   whole scrape. *)
-let parse_exposition text =
-  let parse_labels s =
-    (* s is the inside of the braces: k="v",k2="v2" *)
-    let n = String.length s in
-    let pos = ref 0 in
-    let out = ref [] in
-    let ok = ref true in
-    while !ok && !pos < n do
-      let eq =
-        match String.index_from_opt s !pos '=' with
-        | Some i -> i
-        | None ->
-            ok := false;
-            n
-      in
-      if !ok && eq + 1 < n && s.[eq + 1] = '"' then begin
-        let name = String.trim (String.sub s !pos (eq - !pos)) in
-        let b = Buffer.create 16 in
-        let i = ref (eq + 2) in
-        let closed = ref false in
-        while (not !closed) && !i < n do
-          (match s.[!i] with
-          | '\\' when !i + 1 < n ->
-              incr i;
-              Buffer.add_char b
-                (match s.[!i] with 'n' -> '\n' | c -> c)
-          | '"' -> closed := true
-          | c -> Buffer.add_char b c);
-          incr i
-        done;
-        if !closed then begin
-          out := (name, Buffer.contents b) :: !out;
-          pos := !i;
-          if !pos < n && s.[!pos] = ',' then incr pos
-        end
-        else ok := false
-      end
-      else ok := false
-    done;
-    if !ok then Some (List.rev !out) else None
-  in
-  let parse_line line =
-    let line = String.trim line in
-    if line = "" || line.[0] = '#' then None
-    else
-      let name_end =
-        let rec go i =
-          if i >= String.length line then i
-          else
-            match line.[i] with
-            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> go (i + 1)
-            | _ -> i
-        in
-        go 0
-      in
-      if name_end = 0 then None
-      else
-        let name = String.sub line 0 name_end in
-        let rest = String.sub line name_end (String.length line - name_end) in
-        let labels, rest =
-          if rest <> "" && rest.[0] = '{' then
-            match String.index_opt rest '}' with
-            | Some close -> (
-                match parse_labels (String.sub rest 1 (close - 1)) with
-                | Some ls ->
-                    ( Some ls,
-                      String.sub rest (close + 1)
-                        (String.length rest - close - 1) )
-                | None -> (None, rest))
-            | None -> (None, rest)
-          else (Some [], rest)
-        in
-        match labels with
-        | None -> None
-        | Some s_labels -> (
-            let value_str = String.trim rest in
-            let value_str =
-              match String.index_opt value_str ' ' with
-              | Some sp -> String.sub value_str 0 sp (* drop timestamp *)
-              | None -> value_str
-            in
-            match
-              match value_str with
-              | "+Inf" -> Some infinity
-              | "-Inf" -> Some neg_infinity
-              | s -> float_of_string_opt s
-            with
-            | Some v -> Some { s_name = name; s_labels; s_value = v }
-            | None -> None)
-  in
-  List.filter_map parse_line (String.split_on_char '\n' text)
-
-let sample_value ?(labels = []) name samples =
-  let want = canon labels in
-  List.find_map
-    (fun s ->
-      if s.s_name = name && canon s.s_labels = want then Some s.s_value
-      else None)
-    samples
-
 let summary () =
   locked @@ fun () ->
   let b = Buffer.create 512 in

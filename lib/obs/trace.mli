@@ -48,31 +48,13 @@ val attr : event -> string -> value option
 (** An in-flight span handle, as returned by {!begin_span}. *)
 type span
 
-(** {1 Correlation identifiers}
-
-    A {e trace ID} names one logical unit of fleet work across process
-    boundaries; {e span IDs} name individual requests within it. The
-    shard client stamps both into every wire frame, the daemon tags its
-    handler span with the caller's IDs, and [elfied trace-merge] joins
-    the files into one timeline. IDs render as 16 lowercase hex digits
-    ({!hex_id}). *)
-
 (** This process's trace ID — drawn lazily from the pid and wall clock
-    (never zero), stable until {!set_trace_id}. *)
+    (never zero) and stable for the life of the process. The Chrome
+    export records it as ["traceId"]. *)
 val trace_id : unit -> int64
 
-val set_trace_id : int64 -> unit
-
-(** A fresh per-request span ID (unique within the process). *)
-val fresh_span_id : unit -> int64
-
+(** An ID as 16 lowercase hex digits. *)
 val hex_id : int64 -> string
-
-(** The ["process_name"] label the Chrome export advertises; defaults
-    to the executable basename. *)
-val set_process_label : string -> unit
-
-val process_label : unit -> string
 
 (** Tracing is enabled by default; when disabled, every emission
     function is a no-op. *)
@@ -120,11 +102,11 @@ val reset : unit -> unit
 (** Export the buffer as Chrome [trace_event] JSON: an object with a
     ["traceEvents"] array of ["ph":"X"] complete events and ["ph":"i"]
     instants, preceded by ["ph":"M"] [process_name] / [thread_name]
-    metadata so merged multi-process traces show named tracks. Every
-    event carries this process's pid (override with [pid] / [label] for
-    tests); the top-level object records the absolute tracer epoch
-    (["epochUs"]) so [elfied trace-merge] can align files onto one
-    clock, and the process ["traceId"]. *)
+    metadata so the trace shows named tracks. Every event carries this
+    process's pid and, as its track label, the executable basename
+    (override with [pid] / [label] for tests); the
+    top-level object records the absolute tracer epoch (["epochUs"])
+    and the process ["traceId"]. *)
 val to_chrome : ?pid:int -> ?label:string -> unit -> string
 
 (** {!to_chrome} to a file. *)

@@ -1,12 +1,10 @@
-(** Shared retry-delay schedule: exponential backoff with a hard
-    ceiling and seeded jitter.
+(** Retry-delay schedule: exponential backoff with a hard ceiling and
+    seeded jitter.
 
-    Every layer that retries — the supervisor's crash-class retries, the
-    farm daemon client's per-request retries, circuit-breaker cooldowns
-    — draws its delays from one policy shape, so retry behavior is
-    uniform, capped, and (given a fixed jitter seed) fully
-    deterministic: the same {!Elfie_util.Rng.t} stream always yields the
-    same delay sequence. *)
+    The supervisor's crash-class retries draw their delays from this
+    policy, so retry behavior is uniform, capped, and (given a fixed
+    jitter seed) fully deterministic: the same {!Elfie_util.Rng.t}
+    stream always yields the same delay sequence. *)
 
 type policy = {
   base_s : float;

@@ -8,7 +8,6 @@ module Trace = Elfie_obs.Trace
 module Metrics = Elfie_obs.Metrics
 module Profile = Elfie_obs.Profile
 module Log = Elfie_obs.Log
-module Chrome = Elfie_obs.Chrome
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -300,7 +299,7 @@ let test_profiler_deterministic_topk () =
   Profile.reset p1;
   Alcotest.(check Tutil.i64) "reset clears" 0L (Profile.instructions p1)
 
-(* --- structured event log and flight recorder ------------------------------- *)
+(* --- structured event log ---------------------------------------------------- *)
 
 (* Every Log test runs against a clean ring and restores the global
    defaults afterwards, whatever happens. *)
@@ -309,7 +308,6 @@ let with_fresh_log f =
   Fun.protect
     ~finally:(fun () ->
       Log.set_sink None;
-      Log.set_flight_path None;
       Log.set_level Log.Debug;
       Log.set_capacity 2048;
       Log.reset ())
@@ -438,53 +436,7 @@ let test_log_concurrent_writers_no_torn_lines () =
     done
   done
 
-let test_flight_dump_on_signal () =
-  with_fresh_log @@ fun () ->
-  let dump_file = tmp_file "obs_flight" in
-  Sys.remove dump_file;
-  let seen = ref false in
-  let previous =
-    Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> seen := true))
-  in
-  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigusr1 previous)
-  @@ fun () ->
-  Log.set_flight_path (Some dump_file);
-  Log.install_dump_on_signal [ Sys.sigusr1 ];
-  Log.info "obs.test.before_signal" ~attrs:[ ("k", Trace.S "v") ];
-  Unix.kill (Unix.getpid ()) Sys.sigusr1;
-  (* OCaml delivers signals at safe points; give the runtime a moment. *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while
-    not (!seen && Sys.file_exists dump_file)
-    && Unix.gettimeofday () < deadline
-  do
-    Unix.sleepf 0.01
-  done;
-  Alcotest.(check bool) "previous handler chained" true !seen;
-  Alcotest.(check bool) "dump file written" true (Sys.file_exists dump_file);
-  let events =
-    List.filter_map
-      (fun line -> if line = "" then None else Some (line, Log.parse_line line))
-      (read_lines dump_file)
-  in
-  Sys.remove dump_file;
-  List.iter
-    (fun (line, parsed) ->
-      if parsed = None then Alcotest.failf "unparseable dump line: %s" line)
-    events;
-  let parsed = List.filter_map snd events in
-  Alcotest.(check bool) "dump holds the pre-signal event" true
-    (List.exists (fun e -> e.Log.ev_name = "obs.test.before_signal") parsed);
-  match List.rev parsed with
-  | trailer :: _ ->
-      Alcotest.(check string) "trailer event" "flight.dump"
-        trailer.Log.ev_name;
-      Alcotest.(check bool) "trailer names the signal" true
-        (List.assoc_opt "reason" trailer.Log.ev_attrs
-        = Some (Trace.S "signal:sigusr1"))
-  | [] -> Alcotest.fail "empty dump"
-
-(* --- chrome metadata and trace merge ----------------------------------------- *)
+(* --- chrome metadata ---------------------------------------------------------- *)
 
 let trace_events j =
   match obj_field j "traceEvents" with
@@ -502,62 +454,23 @@ let has_meta evs ~name ~pid ~track =
          | None -> false)
     evs
 
-let find_span evs name =
-  List.find_opt
-    (fun e ->
-      obj_field e "name" = Some (J_str name)
-      && obj_field e "ph" = Some (J_str "X"))
-    evs
-
-let test_chrome_metadata_and_merge () =
-  let id = 0x1122334455667788L in
+let test_chrome_metadata () =
   Trace.reset ();
-  Trace.set_trace_id id;
-  Trace.with_span "merge.a" (fun _ -> ());
+  Trace.with_span "meta.a" (fun _ -> ());
   let file_a = Trace.to_chrome ~pid:101 ~label:"proc-a" () in
   Trace.reset ();
-  Trace.with_span "merge.b" (fun _ -> ());
-  let file_b = Trace.to_chrome ~pid:202 ~label:"proc-b" () in
-  Trace.reset ();
   (* Each export names its own process and thread tracks and records
-     the shared trace ID. *)
+     the process trace ID. *)
   let ja = parse_json file_a in
   Alcotest.(check bool) "process_name metadata" true
     (has_meta (trace_events ja) ~name:"process_name" ~pid:101 ~track:"proc-a");
   Alcotest.(check bool) "thread_name metadata" true
     (has_meta (trace_events ja) ~name:"thread_name" ~pid:101 ~track:"main");
+  let id = Trace.trace_id () in
+  Alcotest.(check bool) "trace id is never zero" true (id <> 0L);
   Alcotest.(check bool) "traceId exported as 16 hex digits" true
     (obj_field ja "traceId" = Some (J_str (Trace.hex_id id)));
-  Alcotest.(check int) "hex id width" 16 (String.length (Trace.hex_id id));
-  (* The merge re-bases the later file onto the earlier epoch and keeps
-     both processes' tracks and the agreed trace ID. *)
-  match Chrome.merge [ ("a", file_a); ("b", file_b) ] with
-  | Error e -> Alcotest.failf "merge failed: %s" e
-  | Ok merged -> (
-      let jm = parse_json merged in
-      Alcotest.(check bool) "merged keeps the shared traceId" true
-        (obj_field jm "traceId" = Some (J_str (Trace.hex_id id)));
-      let evs = trace_events jm in
-      Alcotest.(check bool) "merged keeps proc-a track" true
-        (has_meta evs ~name:"process_name" ~pid:101 ~track:"proc-a");
-      Alcotest.(check bool) "merged keeps proc-b track" true
-        (has_meta evs ~name:"process_name" ~pid:202 ~track:"proc-b");
-      match (find_span evs "merge.a", find_span evs "merge.b") with
-      | Some a, Some b -> (
-          Alcotest.(check bool) "spans keep their pids" true
-            (obj_field a "pid" = Some (J_num 101.0)
-            && obj_field b "pid" = Some (J_num 202.0));
-          match (obj_field a "ts", obj_field b "ts") with
-          | Some (J_num ta), Some (J_num tb) ->
-              (* b was recorded under a later epoch, so after re-basing
-                 onto a's epoch its timestamp must not precede a's. *)
-              Alcotest.(check bool) "later epoch shifted forward" true
-                (tb >= ta)
-          | _ -> Alcotest.fail "merged spans lost their timestamps")
-      | _ -> Alcotest.fail "merged trace lost a span");
-      match Chrome.merge [ ("bad", "{\"notATrace\":1}") ] with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "merge accepted input without traceEvents"
+  Alcotest.(check int) "hex id width" 16 (String.length (Trace.hex_id id))
 
 (* --- end to end: a pipeline validation traces every layer ------------------- *)
 
@@ -642,10 +555,7 @@ let suite =
     Alcotest.test_case "log jsonl roundtrip" `Quick test_log_jsonl_roundtrip;
     Alcotest.test_case "log concurrent writers tear no lines" `Quick
       test_log_concurrent_writers_no_torn_lines;
-    Alcotest.test_case "flight recorder dumps on signal" `Quick
-      test_flight_dump_on_signal;
-    Alcotest.test_case "chrome metadata and trace merge" `Quick
-      test_chrome_metadata_and_merge;
+    Alcotest.test_case "chrome metadata" `Quick test_chrome_metadata;
     Alcotest.test_case "pipeline emits layered spans" `Slow
       test_pipeline_emits_layered_spans;
   ]
