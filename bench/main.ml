@@ -15,7 +15,9 @@ open Toolkit
 
    Interpreted instructions/second on a stream+branchy kernel, hook-free
    (the translated-block fast path) and with an instruction-counting
-   pintool attached. Written to BENCH_core.json so future PRs have a
+   pintool attached, on an L1-resident 64 KiB working set; plus the
+   chained tier on a 2 MiB working set, where the cache model does most
+   of the core's work. Written to BENCH_core.json so future PRs have a
    perf trajectory to compare against. *)
 
 let core_kernels =
@@ -24,14 +26,21 @@ let core_kernels =
         reps = 4000 };
       { kernel = Elfie_workloads.Kernels.Branchy; reps = 4000 } ]
 
-let core_spec () =
-  Elfie_workloads.Programs.spec ~phases:!core_kernels ~outer_reps:200 ~threads:1
-    ~ws_bytes:65536 "core"
+(* Kernel reps scale with the working set, so every pass sweeps the whole
+   set as often as the 64 KiB rows sweep theirs. *)
+let core_spec ~ws_bytes =
+  let phases =
+    List.map
+      (fun (p : Elfie_workloads.Programs.phase) ->
+        { p with reps = p.reps * ws_bytes / 65536 })
+      !core_kernels
+  in
+  Elfie_workloads.Programs.spec ~phases ~outer_reps:200 ~threads:1 ~ws_bytes "core"
 
 let core_max_ins = 4_000_000L
 
-let run_core ~hooks ~chain ~seed =
-  let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ()) in
+let run_core ~hooks ~chain ~ws_bytes ~seed =
+  let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ~ws_bytes) in
   let machine, _kernel = Elfie_pin.Run.instantiate rs in
   Elfie_machine.Machine.set_chain_enabled machine chain;
   if hooks then begin
@@ -58,15 +67,18 @@ let core_bench () =
      ..., phase A trial 2, ...) so no phase systematically benefits from
      cache/frequency warm-up over another. *)
   let phases =
-    [ ("core/hook-free", false, false);  (* block tier only (chain off) *)
-      ("core/chained", false, true);  (* superblock chain tier *)
-      ("core/with-ins-hook", true, true) ]
+    [ ("core/hook-free", false, false, 65536);  (* block tier only (chain off) *)
+      ("core/chained", false, true, 65536);  (* superblock chain tier *)
+      ("core/with-ins-hook", true, true, 65536);
+      ("core/chained-2MiB", false, true, 2 * 1024 * 1024) ]
   in
   let best = Hashtbl.create 4 in
   for i = 0 to trials - 1 do
     List.iter
-      (fun (name, hooks, chain) ->
-        let ins, w = run_core ~hooks ~chain ~seed:(Int64.of_int (100 + i)) in
+      (fun (name, hooks, chain, ws_bytes) ->
+        let ins, w =
+          run_core ~hooks ~chain ~ws_bytes ~seed:(Int64.of_int (100 + i))
+        in
         match Hashtbl.find_opt best name with
         | Some (_, bw) when bw <= w -> ()
         | _ -> Hashtbl.replace best name (ins, w))
@@ -75,7 +87,7 @@ let core_bench () =
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
-      (fun (name, _, _) ->
+      (fun (name, _, _, _) ->
         let ins, best_wall = Hashtbl.find best name in
         let ips = Int64.to_float ins /. best_wall in
         Printf.printf "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!"
@@ -104,7 +116,7 @@ let simpoint_max_ins = 2_000_000L
 let simpoint_slice = 10_000L
 
 let run_profile ~per_ins ~seed =
-  let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ()) in
+  let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ~ws_bytes:65536) in
   let t0 = Unix.gettimeofday () in
   let p =
     if per_ins then

@@ -47,7 +47,7 @@ type result = {
   kernel_instructions : int64;  (** ring-0; zero in user-level mode *)
   runtime_cycles : int64;
   cpi : float;  (** cycles per user instruction *)
-  data_footprint_bytes : int64;  (** distinct cache lines touched x 64 *)
+  data_footprint_bytes : int64;  (** distinct LLC lines touched x LLC line size *)
   dtlb_misses : int64;
   llc_misses : int64;
   syscalls : int64;

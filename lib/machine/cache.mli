@@ -2,23 +2,27 @@
 
     Shared by the machine's built-in "hardware" timing model and by the
     Sniper/CoreSim/gem5 simulator substrates. Purely a hit/miss model:
-    no data is stored, only tags. *)
+    only tags are stored, one recency-ordered array per set (most recent
+    line first). A hit on the most recent line costs one compare; any
+    other access moves its line to the front, so a miss evicts the last
+    entry. That order is the cache's whole state: {!copy} duplicates one
+    int array, and nothing else is tracked per access. *)
 
 type config = {
   size_bytes : int;
   ways : int;
-  line_bytes : int;  (** power of two *)
+  line_bytes : int;  (** power of two, at least 4 *)
 }
 
+(** Raises [Invalid_argument] unless [size_bytes] and [ways] are
+    positive, [line_bytes] is a power of two of at least 4, and
+    [size_bytes] is a multiple of [ways * line_bytes]. *)
 val config : size_bytes:int -> ways:int -> line_bytes:int -> config
 
 type t
 
-(** [create cfg] builds an empty cache. [track_footprint] (default
-    [true]) controls whether every touched line is recorded for
-    {!footprint_lines}; levels whose footprint is never read (the timing
-    model's L1/L2) disable it to keep the per-access cost flat. *)
-val create : ?track_footprint:bool -> config -> t
+(** An empty cache: every entry invalid, counters zero. *)
+val create : config -> t
 
 (** [access t addr] returns [true] on hit and updates LRU state;
     on miss the line is filled. *)
@@ -30,12 +34,6 @@ val copy : t -> t
 
 val hits : t -> int
 val misses : t -> int
-
-(** Distinct lines ever touched — a data-footprint proxy. Always 0 when
-    the cache was created with [~track_footprint:false]. *)
-val footprint_lines : t -> int
-
-val reset_stats : t -> unit
 
 (** Drop all lines (e.g. a TLB flush perturbation), keeping stats. *)
 val flush : t -> unit

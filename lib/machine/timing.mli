@@ -43,7 +43,3 @@ val branch_cost : t -> pc:int64 -> taken:bool -> int
 (** Flush caches and predictor state (used to model OS interference in
     full-system simulation). *)
 val perturb : t -> unit
-
-val llc_footprint_lines : t -> int
-val l1_misses : t -> int
-val llc_misses : t -> int

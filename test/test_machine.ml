@@ -169,14 +169,104 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "line0 kept" true (Cache.access c (line 0));
   Alcotest.(check bool) "line1 evicted" false (Cache.access c (line 1))
 
-let test_cache_footprint_and_flush () =
+let test_cache_flush () =
   let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:64) in
   ignore (Cache.access c 0L);
   ignore (Cache.access c 64L);
   ignore (Cache.access c 0L);
-  Alcotest.(check int) "distinct lines" 2 (Cache.footprint_lines c);
   Cache.flush c;
   Alcotest.(check bool) "flushed" false (Cache.access c 0L)
+
+let rejects ~size_bytes ~ways ~line_bytes =
+  match Cache.config ~size_bytes ~ways ~line_bytes with
+  | _ -> Alcotest.failf "accepted %d/%d/%d" size_bytes ways line_bytes
+  | exception Invalid_argument _ -> ()
+
+let test_cache_rejects_size () =
+  (* A zero size would give a set mask of -1: out-of-bounds tag reads. *)
+  rejects ~size_bytes:0 ~ways:2 ~line_bytes:64;
+  rejects ~size_bytes:(-1024) ~ways:2 ~line_bytes:64
+
+let test_cache_rejects_ways () =
+  (* Zero ways would divide by zero inside [config]. *)
+  rejects ~size_bytes:1024 ~ways:0 ~line_bytes:64;
+  rejects ~size_bytes:1024 ~ways:(-2) ~line_bytes:64
+
+let test_cache_rejects_line_size () =
+  (* Below four bytes, the line number of an address with the top bit
+     set wraps negative: with 1- or 2-byte lines, address -1 would map
+     to the invalid tag and a cold access would report a hit. *)
+  rejects ~size_bytes:1024 ~ways:2 ~line_bytes:0;
+  rejects ~size_bytes:1024 ~ways:2 ~line_bytes:1;
+  rejects ~size_bytes:1024 ~ways:2 ~line_bytes:2;
+  rejects ~size_bytes:1024 ~ways:2 ~line_bytes:48;
+  let c = Cache.create (Cache.config ~size_bytes:1024 ~ways:2 ~line_bytes:4) in
+  Alcotest.(check bool) "top line is a cold miss" false (Cache.access c (-1L));
+  Alcotest.(check bool) "then a hit" true (Cache.access c (-1L))
+
+(* Differential check against the stamp-LRU model in cache_oracle.ml:
+   identical hit/miss on every access and identical counters, across
+   geometries, flushes and mid-stream copies. *)
+let test_cache_matches_oracle () =
+  let rng = Random.State.make [| 0xcac4e |] in
+  (* Line numbers drawn from a pool about three times the capacity give
+     a mix of hits, conflict misses and cold misses; a tenth of the
+     accesses repeat the previous address, and some carry the kernel's
+     high address bits or an arbitrary 64-bit value. *)
+  let stream ~line_bytes ~lines n =
+    let prev = ref 0L in
+    List.init n (fun _ ->
+        let a =
+          match Random.State.int rng 20 with
+          | 0 | 1 -> !prev
+          | 2 -> Random.State.bits64 rng
+          | 3 ->
+              Int64.logor 0xffff_8800_0000_0000L
+                (Int64.of_int (Random.State.int rng (3 * lines) * line_bytes))
+          | _ ->
+              Int64.of_int
+                ((Random.State.int rng (3 * lines) * line_bytes)
+                + Random.State.int rng line_bytes)
+        in
+        prev := a;
+        a)
+  in
+  let drive name c o addrs =
+    List.iteri
+      (fun i a ->
+        if Random.State.int rng 500 = 0 then begin
+          Cache.flush c;
+          Cache_oracle.flush o
+        end;
+        let want = Cache_oracle.access o a in
+        if Cache.access c a <> want then
+          Alcotest.failf "%s access %d (0x%Lx): oracle hit=%b" name i a want)
+      addrs;
+    Alcotest.(check int) (name ^ " hits") (Cache_oracle.hits o) (Cache.hits c);
+    Alcotest.(check int) (name ^ " misses") (Cache_oracle.misses o) (Cache.misses c)
+  in
+  let geometries =
+    (* (sets, ways, line_bytes) *)
+    List.init 16 (fun w -> (16, w + 1, 64))
+    @ [ (12, 11, 64);  (* CoreSim's 11 LLC ways, non-power-of-two set count *)
+        (7, 4, 32);
+        (1, 64, 4096);  (* CoreSim's fully associative DTLB *)
+        (64, 8, 4) ]
+  in
+  List.iter
+    (fun (sets, ways, line_bytes) ->
+      let name = Printf.sprintf "%dx%dx%d" sets ways line_bytes in
+      let cfg = Cache.config ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes in
+      let ocfg =
+        Cache_oracle.config ~size_bytes:(sets * ways * line_bytes) ~ways ~line_bytes
+      in
+      let c = Cache.create cfg and o = Cache_oracle.create ocfg in
+      let n = 4000 and lines = sets * ways in
+      drive name c o (stream ~line_bytes ~lines n);
+      let c' = Cache.copy c and o' = Cache_oracle.copy o in
+      drive (name ^ " original") c o (stream ~line_bytes ~lines n);
+      drive (name ^ " clone") c' o' (stream ~line_bytes ~lines n))
+    geometries
 
 let test_timing_predictor_learns () =
   let t = Timing.create Timing.default in
@@ -638,7 +728,13 @@ let suite =
     Alcotest.test_case "context copy isolation" `Quick test_context_copy_isolated;
     Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
-    Alcotest.test_case "cache footprint/flush" `Quick test_cache_footprint_and_flush;
+    Alcotest.test_case "cache flush" `Quick test_cache_flush;
+    Alcotest.test_case "cache rejects size <= 0" `Quick test_cache_rejects_size;
+    Alcotest.test_case "cache rejects ways <= 0" `Quick test_cache_rejects_ways;
+    Alcotest.test_case "cache rejects line < 4 bytes" `Quick
+      test_cache_rejects_line_size;
+    Alcotest.test_case "cache matches stamp-LRU oracle" `Quick
+      test_cache_matches_oracle;
     Alcotest.test_case "branch predictor learns" `Quick test_timing_predictor_learns;
     Alcotest.test_case "add overflow flags" `Quick test_alu_add_flags;
     Alcotest.test_case "sub borrow" `Quick test_alu_sub_borrow;

@@ -77,6 +77,55 @@ let test_coresim_user_vs_full_system () =
   Alcotest.(check bool) "full system more TLB misses" true
     (f.Coresim.dtlb_misses > u.Coresim.dtlb_misses)
 
+(* Distinct [line_bytes]-sized lines the ELFie reads or writes from its
+   first instruction, counted by a plain pintool on a machine set up the
+   way [Coresim.simulate] sets up its own. *)
+let distinct_lines ~line_bytes ~fs_init image =
+  let open Elfie_machine in
+  let open Elfie_kernel in
+  let machine =
+    Machine.create (Machine.Free { seed = 13L; quantum_min = 50; quantum_max = 200 })
+  in
+  let fs = Fs.create () in
+  fs_init fs;
+  let kernel =
+    Vkernel.create
+      ~config:
+        { Vkernel.default_config with seed = 13L; initial_cwd = "/work"; kernel_cost = false }
+      fs
+  in
+  Vkernel.install kernel machine;
+  ignore (Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[]);
+  let lines = Hashtbl.create 1024 in
+  let touch _ addr _ =
+    Hashtbl.replace lines (Int64.unsigned_div addr (Int64.of_int line_bytes)) ()
+  in
+  let detach =
+    Elfie_pin.Pintool.attach machine
+      [ { (Elfie_pin.Pintool.empty ~name:"lines") with
+          on_mem_read = Some touch; on_mem_write = Some touch } ]
+  in
+  Machine.run machine;
+  detach ();
+  Hashtbl.length lines
+
+let test_coresim_footprint_counts_lines () =
+  let _, image, fs_init = elfie_with_sysstate "cs3" in
+  List.iter
+    (fun line_bytes ->
+      let cfg =
+        { Coresim.skylake with
+          llc = Elfie_machine.Cache.config ~size_bytes:11_534_336 ~ways:11 ~line_bytes }
+      in
+      let r =
+        Coresim.simulate ~from_marker:false ~fs_init ~cwd:"/work" cfg image
+      in
+      Alcotest.check Tutil.i64
+        (Printf.sprintf "distinct %d-byte lines x line size" line_bytes)
+        (Int64.of_int (distinct_lines ~line_bytes ~fs_init image * line_bytes))
+        r.Coresim.data_footprint_bytes)
+    [ 64; 128 ]
+
 let test_coresim_measure_window () =
   let _, image, fs_init = elfie_with_sysstate "cs2" in
   let all = Coresim.simulate ~fs_init ~cwd:"/work" Coresim.skylake image in
@@ -153,6 +202,8 @@ let suite =
     Alcotest.test_case "coresim user vs full system" `Quick
       test_coresim_user_vs_full_system;
     Alcotest.test_case "coresim measure window" `Quick test_coresim_measure_window;
+    Alcotest.test_case "coresim footprint = distinct lines x size" `Quick
+      test_coresim_footprint_counts_lines;
     Alcotest.test_case "gem5 haswell beats nehalem" `Quick
       test_gem5_haswell_beats_nehalem;
     Alcotest.test_case "gem5 counts from marker" `Quick test_gem5_counts_from_marker;
