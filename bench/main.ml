@@ -14,11 +14,11 @@ open Toolkit
 (* --- machine-core microbenchmark (BENCH_core.json) ---------------------
 
    Interpreted instructions/second on a stream+branchy kernel, hook-free
-   (the translated-block fast path) and with an instruction-counting
-   pintool attached, on an L1-resident 64 KiB working set; plus the
-   chained tier on a 2 MiB working set, where the cache model does most
-   of the core's work. Written to BENCH_core.json so future PRs have a
-   perf trajectory to compare against. *)
+   (the superblock chain tier) and with an instruction-counting pintool
+   attached (the per-instruction interpreter), on an L1-resident 64 KiB
+   working set; plus the chain tier on a 2 MiB working set, where the
+   cache model does most of the core's work. Written to BENCH_core.json
+   so future PRs have a perf trajectory to compare against. *)
 
 let core_kernels =
   ref
@@ -39,10 +39,9 @@ let core_spec ~ws_bytes =
 
 let core_max_ins = 4_000_000L
 
-let run_core ~hooks ~chain ~ws_bytes ~seed =
+let run_core ~hooks ~ws_bytes ~seed =
   let rs = Elfie_workloads.Programs.run_spec ~seed (core_spec ~ws_bytes) in
   let machine, _kernel = Elfie_pin.Run.instantiate rs in
-  Elfie_machine.Machine.set_chain_enabled machine chain;
   if hooks then begin
     let counted = ref 0L in
     let tool =
@@ -67,18 +66,15 @@ let core_bench () =
      ..., phase A trial 2, ...) so no phase systematically benefits from
      cache/frequency warm-up over another. *)
   let phases =
-    [ ("core/hook-free", false, false, 65536);  (* block tier only (chain off) *)
-      ("core/chained", false, true, 65536);  (* superblock chain tier *)
-      ("core/with-ins-hook", true, true, 65536);
-      ("core/chained-2MiB", false, true, 2 * 1024 * 1024) ]
+    [ ("core/chained", false, 65536);
+      ("core/with-ins-hook", true, 65536);
+      ("core/chained-2MiB", false, 2 * 1024 * 1024) ]
   in
   let best = Hashtbl.create 4 in
   for i = 0 to trials - 1 do
     List.iter
-      (fun (name, hooks, chain, ws_bytes) ->
-        let ins, w =
-          run_core ~hooks ~chain ~ws_bytes ~seed:(Int64.of_int (100 + i))
-        in
+      (fun (name, hooks, ws_bytes) ->
+        let ins, w = run_core ~hooks ~ws_bytes ~seed:(Int64.of_int (100 + i)) in
         match Hashtbl.find_opt best name with
         | Some (_, bw) when bw <= w -> ()
         | _ -> Hashtbl.replace best name (ins, w))
@@ -87,7 +83,7 @@ let core_bench () =
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
-      (fun (name, _, _, _) ->
+      (fun (name, _, _) ->
         let ins, best_wall = Hashtbl.find best name in
         let ips = Int64.to_float ins /. best_wall in
         Printf.printf "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!"

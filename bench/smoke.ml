@@ -1,17 +1,20 @@
 (* Chain-tier smoke test, run from `dune runtest` via the @bench-smoke
-   alias: a tiny deterministic loop kernel executed both with the
-   superblock chain tier and with plain block dispatch. Guards against
-   silent chain-tier regressions — the chained run must actually build
-   superblocks, retire the identical instruction stream, and not be
-   slower than block-only dispatch. The workload is small enough for CI
-   (a few hundred thousand instructions per leg) and the expected gap is
-   large (≥1.3x in BENCH_core.json), so best-of-N wall-clock comparison
-   at margin 1.0 is robust against scheduler noise. *)
+   alias: a tiny deterministic loop kernel executed both on the
+   superblock chain tier and on the per-instruction interpreter (a no-op
+   [on_ins] hook sends every block there). Guards against silent
+   chain-tier regressions — the chained run must actually build
+   superblocks, retire the identical instruction stream, and be at least
+   [min_speedup] times faster than the interpreter. The workload is
+   small enough for CI (a few hundred thousand instructions per leg) and
+   the expected gap is large (about 2.8x on a 2-core container), so a
+   best-of-N wall-clock comparison at 1.5x is robust against scheduler
+   noise. *)
 
 module Machine = Elfie_machine.Machine
 
 let max_ins = 400_000L
 let trials = 5
+let min_speedup = 1.5
 
 let spec =
   Elfie_workloads.Programs.spec
@@ -20,26 +23,26 @@ let spec =
           reps = 4000 } ]
     ~outer_reps:50 ~threads:1 ~ws_bytes:65536 "bench-smoke"
 
-let run ~chain =
+let run ~per_ins =
   let rs = Elfie_workloads.Programs.run_spec ~seed:7L spec in
   let machine, _kernel = Elfie_pin.Run.instantiate rs in
-  Machine.set_chain_enabled machine chain;
+  if per_ins then (Machine.hooks machine).Machine.on_ins <- Some (fun _ _ _ -> ());
   let t0 = Unix.gettimeofday () in
   Machine.run ~max_ins machine;
   let wall = Unix.gettimeofday () -. t0 in
   (Machine.total_retired machine, (Machine.chain_stats machine).Machine.superblocks_built, wall)
 
 let () =
-  let best_chain = ref infinity and best_block = ref infinity in
-  let retired_chain = ref 0L and retired_block = ref 0L in
+  let best_chain = ref infinity and best_interp = ref infinity in
+  let retired_chain = ref 0L and retired_interp = ref 0L in
   let built = ref 0 in
   (* Interleaved trials, as in the full core bench, so neither leg
      systematically benefits from warm-up. *)
   for _ = 1 to trials do
-    let r, _, w = run ~chain:false in
-    retired_block := r;
-    if w < !best_block then best_block := w;
-    let r, b, w = run ~chain:true in
+    let r, _, w = run ~per_ins:true in
+    retired_interp := r;
+    if w < !best_interp then best_interp := w;
+    let r, b, w = run ~per_ins:false in
     retired_chain := r;
     built := b;
     if w < !best_chain then best_chain := w
@@ -49,10 +52,13 @@ let () =
     Printf.printf "%-44s %s\n" name (if ok then "ok" else "FAIL");
     if not ok then fail := true
   in
-  Printf.printf "bench-smoke: block-only %.1f ms, chained %.1f ms (best of %d)\n"
-    (1000. *. !best_block) (1000. *. !best_chain) trials;
-  check "chained and block-only retire the same stream"
-    (Int64.equal !retired_chain !retired_block && Int64.compare !retired_chain 0L > 0);
+  Printf.printf "bench-smoke: per-ins %.1f ms, chained %.1f ms (%.1fx, best of %d)\n"
+    (1000. *. !best_interp) (1000. *. !best_chain)
+    (!best_interp /. !best_chain) trials;
+  check "chained and per-ins retire the same stream"
+    (Int64.equal !retired_chain !retired_interp && Int64.compare !retired_chain 0L > 0);
   check "chained run built superblocks" (!built > 0);
-  check "chained throughput >= block-only" (!best_chain <= !best_block);
+  check
+    (Printf.sprintf "chained >= %.1fx per-ins throughput" min_speedup)
+    (!best_chain *. min_speedup <= !best_interp);
   if !fail then exit 1

@@ -70,8 +70,9 @@ type sched_state =
    exactly, but pays fetch, decode, static cost classification and
    micro-op specialisation once per block instead of once per
    instruction. [bb_uops] holds each instruction compiled to a closure
-   with operands pre-resolved (register indices, addressing mode); it is
-   only entered on the hook-free batch path. *)
+   with operands pre-resolved (register indices, addressing mode): the
+   chain executor composes them into whole-block mega-ops, and runs them
+   one by one for a first block it cannot run whole. *)
 type bb = {
   bb_pc : int64 array;  (* pc of each instruction *)
   bb_ins : Insn.t array;
@@ -81,7 +82,7 @@ type bb = {
   bb_uops : (t -> thread -> unit) array;
   bb_ends_block : bool;  (* last instruction is a branch/call/syscall *)
   (* The terminator is a plain branch/call/ret (no syscall, marker or
-     trap), so a hook-free batch may run the whole block including it. *)
+     trap), so the chain executor may run the whole block including it. *)
   bb_tail_batchable : bool;
   (* --- superblock tier -------------------------------------------------
      A block whose terminator is a direct branch/call knows its static
@@ -161,16 +162,15 @@ and t = {
   block_cache : (int64, bb) Hashtbl.t;
   mutable decode_generation : int;
   mutable timer : (int * int * Elfie_util.Rng.t) option;
-  mutable group_exit_status : int option;
   (* Cycle cost accumulator for the instruction currently in [execute];
      a field rather than a per-call ref so the interpreter allocates
      nothing per instruction. Not reentrant — syscall handlers run
      inside [execute] but never recurse into it. *)
   mutable exec_cost : int;
   (* Dynamic (cache, branch, pause) cycle cost accumulated by micro-ops
-     across one hook-free batch; static class costs come from
-     [bb_prefix]. Zeroed at batch start and flushed into the thread's
-     cycle count at batch end. *)
+     across one chain hop or partial-block run; static class costs come
+     from [bb_prefix]. Moved into the executor's cycle accumulator, and
+     zeroed, after each run. *)
   mutable dyn_cost : int;
   (* Direct-mapped front memo for the block cache: hot loops (whose
      bodies typically span a handful of blocks) fetch translations with
@@ -180,10 +180,6 @@ and t = {
   block_memo : bb array;
   mutable block_observer :
     (tid:int -> pcs:int64 array -> n:int -> ends_block:bool -> unit) option;
-  (* Superblock chaining: direct-branch terminators hop straight to the
-     successor's translation instead of returning to the dispatch loop.
-     Disabled for A/B measurement and differential tests. *)
-  mutable chain_enabled : bool;
   (* Slot index a mega-op was executing when it raised: [Fault] leaves
      the faulting slot here, [Smc_break] the count of completed slots. *)
   mutable mega_idx : int;
@@ -282,13 +278,11 @@ let create ?(timing = Timing.default) scheduler =
     block_cache = Hashtbl.create 1024;
     decode_generation = -1;
     timer = None;
-    group_exit_status = None;
     exec_cost = 0;
     dyn_cost = 0;
     block_memo_pc = Array.make block_memo_size (-1L);
     block_memo = Array.make block_memo_size dummy_bb;
     block_observer = None;
-    chain_enabled = true;
     mega_idx = 0;
     mega_cw = 0;
     took = 0;
@@ -301,7 +295,6 @@ let create ?(timing = Timing.default) scheduler =
 
 let mem t = t.mem
 let hooks t = t.hooks
-let timing t = t.timing
 let set_syscall_handler t h = t.syscall_handler <- h
 let set_syscall_filter t f = t.syscall_filter <- Some f
 
@@ -340,11 +333,6 @@ let thread t tid =
 
 let threads t = Array.to_list t.thread_arr
 
-let live_thread_count t =
-  Array.fold_left
-    (fun n th -> match th.state with Runnable -> n + 1 | _ -> n)
-    0 t.thread_arr
-
 let exit_thread t tid ~status =
   let th = thread t tid in
   if th.state = Runnable then begin
@@ -353,11 +341,8 @@ let exit_thread t tid ~status =
   end
 
 let exit_all t ~status =
-  t.group_exit_status <- Some status;
   Array.iter (fun th -> if th.state = Runnable then exit_thread t th.tid ~status)
     t.thread_arr
-
-let group_exit_status t = t.group_exit_status
 
 let arm_counter t tid ~target =
   let th = thread t tid in
@@ -402,8 +387,6 @@ let all_exited_cleanly t =
 
 let set_block_observer t f = t.block_observer <- f
 let translated_blocks t = Hashtbl.length t.block_cache
-let set_chain_enabled t b = t.chain_enabled <- b
-let translated_superblocks t = t.live_links
 
 type chain_stats = {
   memo_hits : int;
@@ -865,7 +848,7 @@ let test_cond_fn = function
   | Ult -> fun _ -> false
   | Uge -> fun _ -> true
 
-(* Compile one instruction to its hook-free batch form. Contract: the
+(* Compile one instruction to its micro-op form. Contract: the
    closure performs exactly what [execute] does when every hook is
    absent, except that (a) static class cost is accounted by the caller
    through [bb_prefix] and (b) dynamic cost (cache misses, branch
@@ -879,13 +862,13 @@ let test_cond_fn = function
    it — both block-translation constants, so a branch's relative target
    is resolved here, at compile time ([execute] sees RIP already
    advanced to [next], hence target = next + rel). Branches only ever
-   terminate a block; they are compiled so a hook-free batch can retire
+   terminate a block; they are compiled so the chain executor can retire
    the terminator too. Syscalls, markers and traps always run through
    [execute].
 
    Unlike [execute], a micro-op does NOT expect RIP to be advanced
    beforehand — the caller skips that per-instruction store, and the
-   batch loop repairs RIP once on exit. The forms that observe RIP bake
+   executor repairs RIP once on exit. The forms that observe RIP bake
    in the [next] constant instead: every branch sets RIP
    unconditionally (a non-taken [Jcc] writes [next]), calls push
    [next], and the [execute] fallback advances RIP itself.
@@ -1683,113 +1666,70 @@ let record_fault th pc ins addr access =
   | Hlt -> th.state <- Faulted (Privileged pc)
   | _ -> th.state <- Faulted (Page_fault { addr; access; pc })
 
-(* Shared hook-free batch inner loop: execute [uops.(0 .. fuel-1)] for
-   [b]. Returns the count of completed micro-ops, or [-(idx+1)] when
-   micro-op [idx] faulted (RIP and the thread's fault state are already
-   recorded). A store-free block provably cannot dirty a code page, so
-   its loop runs with ZERO per-instruction invalidation re-checks; a
-   block with stores keeps the per-instruction check, polling the
-   address space's [code_writes] fast-path flag — between system calls
-   (and syscalls never run here: they terminate translation and are not
-   tail-batchable) a code-page write is the only way the decode
-   generation can move, so the two checks are equivalent. *)
-let run_uops t th (b : bb) uops fuel =
+(* Run [b]'s exact micro-ops [0 .. fuel-1]: the first block of a call
+   when it cannot run whole. Returns the count of completed micro-ops,
+   or [-(idx+1)] when micro-op [idx] faulted (RIP and the thread's fault
+   state are already recorded). Stops right after a write that dirtied
+   a code page: between system calls (and syscalls never run here —
+   they terminate translation and are not tail-batchable) a code-page
+   write is the only way the decode generation can move. *)
+let run_uops t th (b : bb) fuel =
+  let cw = Addr_space.code_writes t.mem in
   let i = ref 0 in
   let fault = ref 0 in
-  if b.bb_writes_mem then begin
-    let cw = Addr_space.code_writes t.mem in
-    let brk = ref false in
-    while (not !brk) && !i < fuel do
-      match (Array.unsafe_get uops !i) t th with
-      | () ->
-          incr i;
-          if cw <> Addr_space.code_writes t.mem then brk := true
-      | exception Addr_space.Fault { addr; access } ->
-          (* The per-step path advances RIP before executing; a fault
-             leaves it past the faulting instruction. *)
-          let idx = !i in
-          th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-          record_fault th
-            (Array.unsafe_get b.bb_pc idx)
-            (Array.unsafe_get b.bb_ins idx)
-            addr access;
-          fault := -(idx + 1);
-          brk := true
-    done
-  end
-  else begin
-    let brk = ref false in
-    while (not !brk) && !i < fuel do
-      match (Array.unsafe_get uops !i) t th with
-      | () -> incr i
-      | exception Addr_space.Fault { addr; access } ->
-          let idx = !i in
-          th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-          record_fault th
-            (Array.unsafe_get b.bb_pc idx)
-            (Array.unsafe_get b.bb_ins idx)
-            addr access;
-          fault := -(idx + 1);
-          brk := true
-    done
-  end;
+  let brk = ref false in
+  while (not !brk) && !i < fuel do
+    match (Array.unsafe_get b.bb_uops !i) t th with
+    | () ->
+        incr i;
+        if cw <> Addr_space.code_writes t.mem then brk := true
+    | exception Addr_space.Fault { addr; access } ->
+        (* The interpreter advances RIP before executing; a fault leaves
+           it past the faulting instruction. *)
+        let idx = !i in
+        th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
+        record_fault th
+          (Array.unsafe_get b.bb_pc idx)
+          (Array.unsafe_get b.bb_ins idx)
+          addr access;
+        fault := -(idx + 1);
+        brk := true
+  done;
   if !fault <> 0 then !fault else !i
 
-(* Events fire when [retired] reaches the target: a batch must stop one
-   instruction short of it so the event runs on the per-step path. *)
+(* Events fire when [retired] reaches the target: a micro-op run must
+   stop one instruction short of it so the event fires in the
+   interpreter. *)
 let[@inline] cap_target fuel target retired =
   let room = Int64.sub target retired in
   if Int64.compare room (Int64.of_int fuel) <= 0 then
     if Int64.compare room 1L < 0 then 0 else Int64.to_int room - 1
   else fuel
 
-(* Largest batch budget that keeps every retirement event (timer tick,
-   warmup mark, armed counter) strictly outside the batch. [off] is the
-   count of instructions already executed this call but not yet flushed
-   into the thread's retirement counters (the chain executor defers the
-   boxed-int64 updates to its exit). *)
-let[@inline] event_fuel_off t th limit off =
-  let fuel = limit in
+(* Largest micro-op budget that keeps every retirement event (timer
+   tick, warmup mark, armed counter) strictly outside the run. *)
+let[@inline] event_fuel t th limit =
   let fuel =
     match t.timer with
-    | Some _ ->
-        if th.timer_left - off - 1 < fuel then th.timer_left - off - 1
-        else fuel
-    | None -> fuel
+    | Some _ -> if th.timer_left - 1 < limit then th.timer_left - 1 else limit
+    | None -> limit
   in
   let fuel =
     match th.mark_target with
-    | Some tg -> cap_target fuel tg (Int64.add th.retired (Int64.of_int off))
+    | Some tg -> cap_target fuel tg th.retired
     | None -> fuel
   in
   match th.counter_target with
-  | Some tg -> cap_target fuel tg (Int64.add th.retired (Int64.of_int off))
+  | Some tg -> cap_target fuel tg th.retired
   | None -> fuel
-
-let[@inline] event_fuel t th limit = event_fuel_off t th limit 0
-
-(* Deferred bulk retirement of [ok] batched instructions: bit-identical
-   to per-instruction [retire] because the fuel cap kept every event
-   strictly outside the batch. Static class cost comes from the prefix
-   sums, dynamic cost from the accumulator the micro-ops fed. *)
-let[@inline] bulk_retire t th (b : bb) ok =
-  th.retired <- Int64.add th.retired (Int64.of_int ok);
-  t.retired_total <- Int64.add t.retired_total (Int64.of_int ok);
-  (match t.timer with
-  | Some _ -> th.timer_left <- th.timer_left - ok
-  | None -> ());
-  th.cycles <-
-    Int64.add th.cycles
-      (Int64.of_int (Array.unsafe_get b.bb_prefix ok + t.dyn_cost));
-  t.dyn_cost <- 0
 
 (* First chain visit of a direct-tail block: translate both static
    successors eagerly and install the links (the superblock's edges).
    Eager rather than on first traversal of each edge, so a hot backedge
    does not wait for its rarely-taken sibling before the elided variant
    can qualify. A successor that cannot be fetched (unmapped target)
-   leaves its link dummy; arriving there exits the chain and the
-   dispatch path reports the precise fault. Also decides the elision
+   leaves its link dummy; arriving there exits the chain and the next
+   fetch reports the precise fault. Also decides the elision
    gate [bb_chain_extra]: the flag-elided variant is usable only when
    every static successor starts with a pure full-flag-killing prefix
    (so whatever the branch decides, the flags the variant leaves stale
@@ -1825,69 +1765,20 @@ let resolve_links t (b : bb) =
   in
   b.bb_chain_extra <- extra
 
-(* Classic single-block path: hook-free batch of the translation, then
-   the per-instruction remainder (terminator under an [on_branch] hook,
-   instrumented runs, retirement-event boundaries, the tail after a
-   mid-block invalidation).
-
-   Hooks can only appear or vanish mid-run from a syscall handler, and
-   syscalls terminate translation, so hook presence is loop-invariant
-   within a block: uninstrumented runs take the dispatch-free fast loop.
-   The block observer (count-driven profiler) is notified once per block
-   with the attempted prefix — equivalent to per-instruction feeding. *)
-let exec_block_classic t th (bb : bb) limit =
-  let len = Array.length bb.bb_ins in
-  let n = if limit < len then limit else len in
-  let gen = t.decode_generation in
-  let attempted = ref 0 in
+(* The interpreter: instructions [start .. n-1] of [bb], each one
+   [execute] plus [retire] with every hook live. Stops early when the
+   thread exits or faults, a stop is requested, or a write into a code
+   page (or a map/unmap) invalidated the translation mid-block — the
+   scheduler loop then re-fetches from a fresh decode. Returns the
+   count attempted from the block head. *)
+let interpret t th (bb : bb) gen start n =
+  let attempted = ref start in
   let continue_ = ref true in
-  (* The interior of a block is straight-line code, so only
-     memory/instruction hooks could observe it; a plain branch
-     terminator is additionally invisible to all but [on_branch], so
-     when that hook is also absent the batch may retire the terminator
-     too. *)
-  let batchable =
-    (match t.hooks.on_ins with Some _ -> false | None -> true)
-    && (match t.hooks.on_mem_read with Some _ -> false | None -> true)
-    && (match t.hooks.on_mem_write with Some _ -> false | None -> true)
-  in
-  if batchable then begin
-    let tail_ok =
-      bb.bb_tail_batchable
-      && match t.hooks.on_branch with Some _ -> false | None -> true
-    in
-    let fuel =
-      event_fuel t th
-        (let m = if tail_ok then len else len - 1 in
-         if n < m then n else m)
-    in
-    if fuel > 0 then begin
-      t.dyn_cost <- 0;
-      let r = run_uops t th bb bb.bb_uops fuel in
-      let faulted = r < 0 in
-      let ok = if faulted then -r - 1 else r in
-      (* Micro-ops skip the per-instruction RIP store; only a
-         terminating branch (always the block's last micro-op) and the
-         fault path write RIP themselves. Repair it here for every
-         other exit so the machine state matches per-step execution
-         exactly. *)
-      if ok > 0 && ok < len && not faulted then
-        th.ctx.Context.rip <- Array.unsafe_get bb.bb_next (ok - 1);
-      bulk_retire t th bb ok;
-      attempted := (if faulted then ok + 1 else ok);
-      if faulted || t.stop_requested || gen <> Addr_space.generation t.mem
-      then continue_ := false
-    end
-  end;
-  let hook_free =
-    match t.hooks.on_ins with Some _ -> false | None -> true
-  in
   while !continue_ && !attempted < n do
     let idx = !attempted in
     let pc = Array.unsafe_get bb.bb_pc idx in
     let ins = Array.unsafe_get bb.bb_ins idx in
-    if not hook_free then
-      (match t.hooks.on_ins with Some f -> f th.tid pc ins | None -> ());
+    (match t.hooks.on_ins with Some f -> f th.tid pc ins | None -> ());
     th.ctx.Context.rip <- Array.unsafe_get bb.bb_next idx;
     incr attempted;
     (match execute t th pc ins (Array.unsafe_get bb.bb_cost idx) with
@@ -1898,29 +1789,37 @@ let exec_block_classic t th (bb : bb) limit =
     | Runnable -> ()
     | Exited _ | Faulted _ -> continue_ := false);
     if t.stop_requested || gen <> Addr_space.generation t.mem then
-      (* A write into a code page (or a map/unmap) invalidated the
-         translation mid-block: fall back to the scheduler loop, which
-         re-fetches from a fresh decode. *)
       continue_ := false
   done;
-  (match t.block_observer with
-  | None -> ()
-  | Some f ->
-      f ~tid:th.tid ~pcs:bb.bb_pc ~n:!attempted
-        ~ends_block:(!attempted = len && bb.bb_ends_block));
   !attempted
 
-(* Execute up to [limit] instructions of [th]'s current translated
-   block — and, on the fully uninstrumented path, of its chained
-   successors: whole blocks hop translation-to-translation along
+(* Notify the block observer (count-driven profiler) of the [n]
+   instructions attempted from [b]'s head — equivalent to feeding it
+   one instruction at a time. *)
+let[@inline] observe t th (b : bb) n =
+  match t.block_observer with
+  | None -> ()
+  | Some f ->
+      f ~tid:th.tid ~pcs:b.bb_pc ~n
+        ~ends_block:(n = Array.length b.bb_pc && b.bb_ends_block)
+
+(* Execute up to [limit] instructions of [th] from its current block —
+   the machine's one execution entry point. A hook that observes single
+   instructions ([on_ins], [on_mem_read], [on_mem_write], [on_branch])
+   sends the block to the interpreter. Otherwise the chain executor
+   runs it: whole blocks hop translation-to-translation along
    direct-branch links without returning to the dispatch loop, with
-   per-block bulk retirement and one block-observer call per hop
-   (identical granularity to dispatch-driven execution, so BBV slice
-   accounting is bit-for-bit unchanged). Indirect branches, faults,
-   event-fuel exhaustion, invalidations and stop requests break the
-   chain back to dispatch. Returns how many instructions were attempted
-   (a faulting fetch or instruction counts as one, matching the
-   per-step accounting). *)
+   deferred retirement and one block-observer call per hop (identical
+   granularity to per-block dispatch, so BBV slice accounting is
+   unchanged). Indirect branches, faults, event-fuel exhaustion,
+   invalidations and stop requests break the chain back to dispatch. A
+   first block that cannot run whole (syscall, marker or trap tail,
+   window cut, or less event fuel than its length) runs its exact
+   micro-ops up to the event boundary and the interpreter finishes it.
+   Hooks can only appear or vanish from a syscall handler, and syscalls
+   terminate translation, so hook presence is invariant within a block.
+   Returns how many instructions were attempted (a faulting fetch or
+   instruction counts as one, matching the per-step accounting). *)
 let exec_block t th limit =
   let pc0 = th.ctx.Context.rip in
   match fetch_block t pc0 with
@@ -1928,25 +1827,27 @@ let exec_block t th limit =
       th.state <- Faulted (Page_fault { addr; access = Exec; pc = pc0 });
       1
   | bb ->
-      let chainable =
-        t.chain_enabled
-        && (match t.hooks.on_ins with Some _ -> false | None -> true)
-        && (match t.hooks.on_mem_read with Some _ -> false | None -> true)
-        && (match t.hooks.on_mem_write with Some _ -> false | None -> true)
-        && (match t.hooks.on_branch with Some _ -> false | None -> true)
-      in
-      if not chainable then exec_block_classic t th bb limit
+      let gen = t.decode_generation in
+      let len0 = Array.length bb.bb_ins in
+      let n0 = if limit < len0 then limit else len0 in
+      let h = t.hooks in
+      if
+        Option.is_some h.on_ins || Option.is_some h.on_mem_read
+        || Option.is_some h.on_mem_write || Option.is_some h.on_branch
+      then begin
+        let n = interpret t th bb gen 0 n0 in
+        observe t th bb n;
+        n
+      end
       else begin
         let st = t.stats in
-        let gen = t.decode_generation in
         let total = ref 0 in
         (* Retirement is deferred: completed-instruction and cycle
            counts accumulate in unboxed locals and flush into the boxed
            int64 thread counters once per call, not once per hop.
-           [event_fuel_off] keeps event boundaries exact meanwhile. *)
+           [budget] keeps event boundaries exact meanwhile. *)
         let retired_acc = ref 0 in
         let acc_cycles = ref 0 in
-        let finished = ref false in
         let cur = ref bb in
         let looping = ref true in
         let observer_none =
@@ -1966,141 +1867,154 @@ let exec_block t th limit =
         while !looping do
           let b = !cur in
           let len = Array.length b.bb_uops in
-          if not b.bb_tail_batchable then begin
-            (* Syscall/marker/trap tail (or a translation-window cut):
-               only the dispatch path may run it. *)
+          let fuel = !budget in
+          if (not b.bb_tail_batchable) || fuel < len then begin
+            (* A syscall/marker/trap tail (or a translation-window cut)
+               only the interpreter may run; a block longer than the
+               event fuel cannot hop whole. *)
             looping := false;
-            if !total > 0 then st.st_x_indirect <- st.st_x_indirect + 1
+            if !total > 0 then
+              if b.bb_tail_batchable then st.st_x_fuel <- st.st_x_fuel + 1
+              else st.st_x_indirect <- st.st_x_indirect + 1
           end
           else begin
-            let fuel = !budget in
-            if fuel < len then begin
-              (* Not enough event fuel for a whole-block hop; the
-                 dispatch path handles the partial block. *)
+            if
+              b.bb_chain_extra = -2
+              && not (Int64.equal b.bb_succ_taken (-1L))
+            then resolve_links t b;
+            let links = b.bb_links in
+            let linked = Array.length links = 2 in
+            let chained =
+              b.bb_chain_extra >= 0 && fuel >= len + b.bb_chain_extra
+            in
+            let mega = if chained then b.bb_mega_chain else b.bb_mega_safe in
+            if b.bb_writes_mem then
+              t.mega_cw <- Addr_space.code_writes t.mem;
+            (* Self-loop turbo: an unobserved block whose hot edge is
+               its own head re-runs the mega back to back, paying the
+               per-hop bookkeeping once per burst. The iteration
+               budget keeps the burst inside the event fuel, and — for
+               the flag-elided variant — additionally reserves the
+               successor kill prefix so the final iteration still
+               meets the elision gate's exit guarantee. Blocks that do
+               not link to themselves skip the budget division: their
+               burst is a single iteration by construction. *)
+            let max_iters =
+              if
+                observer_none && linked
+                && (Array.unsafe_get links 0 == b
+                   || Array.unsafe_get links 1 == b)
+              then (if chained then fuel - b.bb_chain_extra else fuel) / len
+              else 1
+            in
+            iters := 0;
+            part := 0;
+            faulted := false;
+            cut := false;
+            (try
+               let go = ref true in
+               while !go do
+                 mega t th;
+                 incr iters;
+                 (* [t.took] was just written by the terminator slot;
+                    when [max_iters = 1] the short-circuit exits before
+                    the (possibly empty) links array is touched. *)
+                 if
+                   !iters >= max_iters
+                   || Array.unsafe_get links t.took != b
+                 then go := false
+               done
+             with
+            | Addr_space.Fault { addr; access } ->
+                let idx = t.mega_idx in
+                th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
+                record_fault th
+                  (Array.unsafe_get b.bb_pc idx)
+                  (Array.unsafe_get b.bb_ins idx)
+                  addr access;
+                part := idx;
+                faulted := true;
+                cut := true
+            | Smc_break ->
+                part := t.mega_idx;
+                cut := true);
+            let ok = (!iters * len) + !part in
+            if !part > 0 && !part < len && not !faulted then
+              th.ctx.Context.rip <- Array.unsafe_get b.bb_next (!part - 1);
+            acc_cycles :=
+              !acc_cycles
+              + (!iters * Array.unsafe_get b.bb_prefix len)
+              + (if !part > 0 then Array.unsafe_get b.bb_prefix !part else 0)
+              + t.dyn_cost;
+            t.dyn_cost <- 0;
+            retired_acc := !retired_acc + ok;
+            let attempted = if !faulted then ok + 1 else ok in
+            total := !total + attempted;
+            budget := !budget - attempted;
+            observe t th b attempted;
+            if !faulted then begin
               looping := false;
-              if !total > 0 then st.st_x_fuel <- st.st_x_fuel + 1
+              st.st_x_fault <- st.st_x_fault + 1
+            end
+            else if
+              !cut
+              (* Between chain hops the generation can only move from a
+                 store (no syscalls run here — they are not
+                 tail-batchable) or, conceivably, an observer callback;
+                 hops with neither skip the re-check, and a
+                 store-bearing hop checks right after itself, so a
+                 moved generation is never outrun. *)
+              || (b.bb_writes_mem || not observer_none)
+                 && gen <> Addr_space.generation t.mem
+            then begin
+              looping := false;
+              st.st_x_inval <- st.st_x_inval + 1
+            end
+            else if t.stop_requested then begin
+              looping := false;
+              st.st_x_stop <- st.st_x_stop + 1
             end
             else begin
-              if
-                b.bb_chain_extra = -2
-                && not (Int64.equal b.bb_succ_taken (-1L))
-              then resolve_links t b;
-              let links = b.bb_links in
-              let linked = Array.length links = 2 in
-              let chained =
-                b.bb_chain_extra >= 0 && fuel >= len + b.bb_chain_extra
+              (* A whole-block run of a directly-terminated block left
+                 the edge index in [t.took]; indirect or cut tails have
+                 no links array and exit to dispatch. *)
+              let nxt =
+                if linked then Array.unsafe_get links t.took else dummy_bb
               in
-              let mega = if chained then b.bb_mega_chain else b.bb_mega_safe in
-              if b.bb_writes_mem then
-                t.mega_cw <- Addr_space.code_writes t.mem;
-              (* Self-loop turbo: an unobserved block whose hot edge is
-                 its own head re-runs the mega back to back, paying the
-                 per-hop bookkeeping once per burst. The iteration
-                 budget keeps the burst inside the event fuel, and — for
-                 the flag-elided variant — additionally reserves the
-                 successor kill prefix so the final iteration still
-                 meets the elision gate's exit guarantee. Blocks that do
-                 not link to themselves skip the budget division: their
-                 burst is a single iteration by construction. *)
-              let max_iters =
-                if
-                  observer_none && linked
-                  && (Array.unsafe_get links 0 == b
-                     || Array.unsafe_get links 1 == b)
-                then (if chained then fuel - b.bb_chain_extra else fuel) / len
-                else 1
-              in
-              iters := 0;
-              part := 0;
-              faulted := false;
-              cut := false;
-              (try
-                 let go = ref true in
-                 while !go do
-                   mega t th;
-                   incr iters;
-                   (* [t.took] was just written by the terminator slot;
-                      when [max_iters = 1] the short-circuit exits before
-                      the (possibly empty) links array is touched. *)
-                   if
-                     !iters >= max_iters
-                     || Array.unsafe_get links t.took != b
-                   then go := false
-                 done
-               with
-              | Addr_space.Fault { addr; access } ->
-                  let idx = t.mega_idx in
-                  th.ctx.Context.rip <- Array.unsafe_get b.bb_next idx;
-                  record_fault th
-                    (Array.unsafe_get b.bb_pc idx)
-                    (Array.unsafe_get b.bb_ins idx)
-                    addr access;
-                  part := idx;
-                  faulted := true;
-                  cut := true
-              | Smc_break ->
-                  part := t.mega_idx;
-                  cut := true);
-              let ok = (!iters * len) + !part in
-              if !part > 0 && !part < len && not !faulted then
-                th.ctx.Context.rip <- Array.unsafe_get b.bb_next (!part - 1);
-              acc_cycles :=
-                !acc_cycles
-                + (!iters * Array.unsafe_get b.bb_prefix len)
-                + (if !part > 0 then Array.unsafe_get b.bb_prefix !part else 0)
-                + t.dyn_cost;
-              t.dyn_cost <- 0;
-              retired_acc := !retired_acc + ok;
-              let attempted = if !faulted then ok + 1 else ok in
-              total := !total + attempted;
-              budget := !budget - attempted;
-              if not observer_none then (
-                match t.block_observer with
-                | None -> ()
-                | Some f ->
-                    f ~tid:th.tid ~pcs:b.bb_pc ~n:attempted
-                      ~ends_block:(attempted = len && b.bb_ends_block));
-              if !faulted then begin
+              if nxt == dummy_bb then begin
                 looping := false;
-                finished := true;
-                st.st_x_fault <- st.st_x_fault + 1
+                st.st_x_indirect <- st.st_x_indirect + 1
               end
-              else if
-                !cut
-                (* Between chain hops the generation can only move from a
-                   store (no syscalls run here — they are not
-                   tail-batchable) or, conceivably, an observer callback;
-                   hops with neither skip the re-check, and a
-                   store-bearing hop checks right after itself, so a
-                   moved generation is never outrun. *)
-                || (b.bb_writes_mem || not observer_none)
-                   && gen <> Addr_space.generation t.mem
-              then begin
-                looping := false;
-                finished := true;
-                st.st_x_inval <- st.st_x_inval + 1
-              end
-              else if t.stop_requested then begin
-                looping := false;
-                finished := true;
-                st.st_x_stop <- st.st_x_stop + 1
-              end
-              else begin
-                (* A whole-block run of a directly-terminated block left
-                   the edge index in [t.took]; indirect or cut tails have
-                   no links array and exit to dispatch. *)
-                let nxt =
-                  if linked then Array.unsafe_get links t.took else dummy_bb
-                in
-                if nxt == dummy_bb then begin
-                  looping := false;
-                  st.st_x_indirect <- st.st_x_indirect + 1
-                end
-                else cur := nxt
-              end
+              else cur := nxt
             end
           end
         done;
+        (* The first block cannot run whole: its exact micro-ops run up
+           to the event boundary (a syscall, marker or trap tail is left
+           out), and once retirement is flushed below the interpreter
+           finishes the block, so every event fires on its exact
+           instruction. *)
+        let partial = !total = 0 in
+        let stopped = ref false in
+        if partial then begin
+          let m = if bb.bb_tail_batchable then len0 else len0 - 1 in
+          let fuel = if !budget < m then !budget else m in
+          if fuel > 0 then begin
+            let r = run_uops t th bb fuel in
+            let faulted = r < 0 in
+            let ok = if faulted then -r - 1 else r in
+            (* Micro-ops skip the per-instruction RIP store; only a
+               terminating branch and the fault path write RIP. *)
+            if ok > 0 && ok < len0 && not faulted then
+              th.ctx.Context.rip <- Array.unsafe_get bb.bb_next (ok - 1);
+            retired_acc := ok;
+            acc_cycles := Array.unsafe_get bb.bb_prefix ok + t.dyn_cost;
+            t.dyn_cost <- 0;
+            total := if faulted then ok + 1 else ok;
+            stopped :=
+              faulted || t.stop_requested || gen <> Addr_space.generation t.mem
+          end
+        end;
         if !retired_acc > 0 || !acc_cycles > 0 then begin
           let okL = Int64.of_int !retired_acc in
           th.retired <- Int64.add th.retired okL;
@@ -2110,8 +2024,12 @@ let exec_block t th limit =
           | None -> ());
           th.cycles <- Int64.add th.cycles (Int64.of_int !acc_cycles)
         end;
-        if !finished || !total > 0 then !total
-        else exec_block_classic t th bb limit
+        if not partial then !total
+        else begin
+          let n = if !stopped then !total else interpret t th bb gen !total n0 in
+          observe t th bb n;
+          n
+        end
       end
 
 let step t tid =
@@ -2272,8 +2190,6 @@ type snapshot = {
   snap_record_schedule : bool;
   snap_schedule_rev : (int * int) list;
   snap_schedule_cut : bool;
-  snap_group_exit : int option;
-  snap_chain_enabled : bool;
 }
 
 let snapshot t =
@@ -2318,11 +2234,8 @@ let snapshot t =
     snap_record_schedule = t.record_schedule;
     snap_schedule_rev = t.schedule_rev;
     snap_schedule_cut = t.schedule_cut;
-    snap_group_exit = t.group_exit_status;
-    snap_chain_enabled = t.chain_enabled;
   }
 
-let snapshot_pages snap = Addr_space.frozen_pages snap.snap_mem
 let snapshot_page_count snap = Addr_space.frozen_page_count snap.snap_mem
 
 (* Re-derive the machine's nondeterminism sources from [seed] at the
@@ -2403,13 +2316,11 @@ let fork ?reseed:seed snap =
         Option.map
           (fun (i, c, rng) -> (i, c, Elfie_util.Rng.copy rng))
           snap.snap_timer;
-      group_exit_status = snap.snap_group_exit;
       exec_cost = 0;
       dyn_cost = 0;
       block_memo_pc = Array.make block_memo_size (-1L);
       block_memo = Array.make block_memo_size dummy_bb;
       block_observer = None;
-      chain_enabled = snap.snap_chain_enabled;
       mega_idx = 0;
       mega_cw = 0;
       took = 0;

@@ -47,7 +47,10 @@ type scheduler =
   | Recorded of (int * int) list
 
 (** Instrumentation points. All default to [None]; the Pin layer and
-    simulators fill them in. *)
+    simulators fill them in. While any of [on_ins], [on_mem_read],
+    [on_mem_write] or [on_branch] is set, the machine runs on its
+    per-instruction interpreter; otherwise on the superblock chain
+    tier, with identical architectural results. *)
 type hooks = {
   mutable on_ins : (int -> int64 -> Elfie_isa.Insn.t -> unit) option;
       (** tid, pc, instruction — before execution *)
@@ -69,7 +72,6 @@ type syscall_action = Run_syscall | Skip_syscall
 val create : ?timing:Timing.config -> scheduler -> t
 val mem : t -> Addr_space.t
 val hooks : t -> hooks
-val timing : t -> Timing.t
 
 (** Install the kernel's syscall handler. The handler runs with the
     thread's RIP already advanced past the [Syscall] instruction. *)
@@ -85,16 +87,11 @@ val add_thread : t -> Context.t -> int
 
 val thread : t -> int -> thread
 val threads : t -> thread list
-val live_thread_count : t -> int
 
 (** Terminate one thread (used by [exit]) or the whole process. *)
 val exit_thread : t -> int -> status:int -> unit
 
 val exit_all : t -> status:int -> unit
-
-(** Status of the [exit_group]-style whole-process exit, if one
-    happened. Threads it killed did not fault or diverge. *)
-val group_exit_status : t -> int option
 
 (** Arm the retired-instruction performance counter of a thread. *)
 val arm_counter : t -> int -> target:int64 -> unit
@@ -154,19 +151,6 @@ val set_block_observer :
 (** Number of distinct basic blocks currently translated (cache size
     after generation flushes — an observability counter). *)
 val translated_blocks : t -> int
-
-(** Enable/disable the superblock chain tier (on by default): on the
-    fully uninstrumented path, blocks ending in a direct branch hop
-    straight to their successor's translation without returning to the
-    dispatch loop, with a cross-block flag-liveness pass eliding dead
-    ALU flag materialisation. Architecturally invisible — disabling it
-    only removes the speed tier (A/B benchmarking, differential
-    tests). *)
-val set_chain_enabled : t -> bool -> unit
-
-(** Number of chain links currently installed between translated blocks
-    (superblock edges of the live generation; invalidation resets it). *)
-val translated_superblocks : t -> int
 
 (** Monotone per-machine core-execution counters: block-memo efficacy,
     superblock link churn, and chain exits by reason. Mirrored into the
@@ -232,11 +216,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 val fork : ?reseed:int64 -> snapshot -> t
-
-(** The frozen memory image as [(page_base, contents)], sorted,
-    aliasing the frozen bytes (zero-copy; treat as read-only). Used by
-    the Vcriu checkpointer. *)
-val snapshot_pages : snapshot -> (int64 * bytes) list
 
 val snapshot_page_count : snapshot -> int
 

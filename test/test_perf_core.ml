@@ -396,11 +396,10 @@ let test_note_block_equivalence () =
 
 (* --- superblock chain tier ---------------------------------------------------- *)
 
-(* Chained execution (the default), chain-disabled block execution, and
-   per-instruction execution (an [on_ins] hook forces the interpreter
-   off every batched path) must be indistinguishable: same schedule,
-   same retired/cycle counts, bit-identical contexts, and bit-identical
-   BBV slice profiles. *)
+(* Chained execution (the default) and per-instruction execution (an
+   [on_ins] hook sends every block to the interpreter) must be
+   indistinguishable: same schedule, same retired/cycle counts,
+   bit-identical contexts, and bit-identical BBV slice profiles. *)
 let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
   a.Elfie_pin.Bbv.slice_size = b.Elfie_pin.Bbv.slice_size
   && a.Elfie_pin.Bbv.total_instructions = b.Elfie_pin.Bbv.total_instructions
@@ -412,48 +411,40 @@ let bbv_profile_eq (a : Elfie_pin.Bbv.profile) (b : Elfie_pin.Bbv.profile) =
          && x.Elfie_pin.Bbv.vector = y.Elfie_pin.Bbv.vector)
        a.Elfie_pin.Bbv.slices b.Elfie_pin.Bbv.slices
 
-let test_chained_matches_disabled_and_per_ins () =
+let test_chained_matches_per_ins () =
   let prog = branchy_two_thread_prog () in
-  let run_mode ~chain ~per_ins =
+  let run_mode ~per_ins =
     let m =
       mk_branchy_machine prog
         (Machine.Free { seed = 5L; quantum_min = 13; quantum_max = 41 })
     in
-    Machine.set_chain_enabled m chain;
     if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
     let observe, finish = Elfie_pin.Bbv.collector ~slice_size:97L in
     Machine.set_block_observer m (Some observe);
     Machine.run m;
     (m, finish ())
   in
-  let ma, bbv_a = run_mode ~chain:true ~per_ins:false in
-  let mb, bbv_b = run_mode ~chain:false ~per_ins:false in
-  let mc, bbv_c = run_mode ~chain:true ~per_ins:true in
+  let ma, bbv_a = run_mode ~per_ins:false in
+  let mc, bbv_c = run_mode ~per_ins:true in
   let sa = Machine.chain_stats ma in
   Alcotest.(check bool) "chained run built superblocks" true
     (sa.Machine.superblocks_built > 0);
   Alcotest.(check bool) "block memo was effective" true
     (sa.Machine.memo_hits > sa.Machine.memo_misses);
-  Alcotest.(check int) "disabled run built no superblocks" 0
-    (Machine.chain_stats mb).Machine.superblocks_built;
-  List.iter
-    (fun (name, mx, bbv_x) ->
-      Alcotest.check Tutil.i64 (name ^ ": total retired")
-        (Machine.total_retired ma) (Machine.total_retired mx);
-      Alcotest.check Tutil.i64 (name ^ ": elapsed cycles")
-        (Machine.elapsed_cycles ma) (Machine.elapsed_cycles mx);
-      for tid = 0 to 1 do
-        let ta = Machine.thread ma tid and tx = Machine.thread mx tid in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: t%d context bit-identical" name tid)
-          true
-          (Bytes.equal
-             (Context.to_bytes ta.Machine.ctx)
-             (Context.to_bytes tx.Machine.ctx))
-      done;
-      Alcotest.(check bool) (name ^ ": BBV profile bit-identical") true
-        (bbv_profile_eq bbv_a bbv_x))
-    [ ("chain-off", mb, bbv_b); ("per-ins", mc, bbv_c) ]
+  Alcotest.(check int) "per-ins run built no superblocks" 0
+    (Machine.chain_stats mc).Machine.superblocks_built;
+  Alcotest.check Tutil.i64 "total retired" (Machine.total_retired ma)
+    (Machine.total_retired mc);
+  Alcotest.check Tutil.i64 "elapsed cycles" (Machine.elapsed_cycles ma)
+    (Machine.elapsed_cycles mc);
+  for tid = 0 to 1 do
+    let ta = Machine.thread ma tid and tc = Machine.thread mc tid in
+    Alcotest.(check bool)
+      (Printf.sprintf "t%d context bit-identical" tid)
+      true
+      (Bytes.equal (Context.to_bytes ta.Machine.ctx) (Context.to_bytes tc.Machine.ctx))
+  done;
+  Alcotest.(check bool) "BBV profile bit-identical" true (bbv_profile_eq bbv_a bbv_c)
 
 (* A store in the middle of a chained superblock patches code a few
    instructions ahead of itself: the chain must break at exactly that
@@ -486,13 +477,13 @@ let test_chain_smc_mid_chain () =
     Builder.ins b Hlt;
     Builder.assemble b ~base:0x1000L
   in
-  let mk chain =
+  let mk ~per_ins =
     let prog = build () in
     let m =
       Machine.create
         (Machine.Free { seed = 1L; quantum_min = 400; quantum_max = 400 })
     in
-    Machine.set_chain_enabled m chain;
+    if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
     Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
     let ctx = Context.create () in
     ctx.Context.rip <- 0x1000L;
@@ -500,13 +491,13 @@ let test_chain_smc_mid_chain () =
     Machine.run m;
     (m, Context.get (Machine.thread m tid).Machine.ctx Reg.RSI)
   in
-  let mc, chained_sum = mk true in
-  let _, plain_sum = mk false in
+  let mc, chained_sum = mk ~per_ins:false in
+  let _, plain_sum = mk ~per_ins:true in
   (* Countdown 10..6 add 1 (the patch lands during the countdown=6
      iteration, after its add); 5..1 add 2. *)
   Alcotest.check Tutil.i64 "chained run saw the patch exactly once armed" 15L
     chained_sum;
-  Alcotest.check Tutil.i64 "chain-disabled agrees" plain_sum chained_sum;
+  Alcotest.check Tutil.i64 "per-ins agrees" plain_sum chained_sum;
   let st = Machine.chain_stats mc in
   Alcotest.(check bool) "the chain broke on the mid-chain code write" true
     (st.Machine.exits_invalidation >= 1);
@@ -520,7 +511,7 @@ let test_chain_smc_mid_chain () =
    them; the successor then faults on an unmapped load one slot after
    its flag-killing prefix. The faulting thread's context — flags
    included — and the recorded fault must be bit-identical to the
-   chain-disabled run. *)
+   per-instruction run. *)
 let test_chain_fault_mid_chain_flags () =
   let build () =
     let b = Builder.create () in
@@ -543,13 +534,13 @@ let test_chain_fault_mid_chain_flags () =
     Builder.ins b Hlt;
     Builder.assemble b ~base:0x1000L
   in
-  let run chain =
+  let run ~per_ins =
     let prog = build () in
     let m =
       Machine.create
         (Machine.Free { seed = 9L; quantum_min = 500; quantum_max = 500 })
     in
-    Machine.set_chain_enabled m chain;
+    if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
     Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
     let ctx = Context.create () in
     ctx.Context.rip <- 0x1000L;
@@ -557,8 +548,8 @@ let test_chain_fault_mid_chain_flags () =
     Machine.run m;
     (m, Machine.thread m tid)
   in
-  let mc, tc = run true in
-  let _, tp = run false in
+  let mc, tc = run ~per_ins:false in
+  let _, tp = run ~per_ins:true in
   (match (tc.Machine.state, tp.Machine.state) with
   | Machine.Faulted fa, Machine.Faulted fb ->
       Alcotest.(check bool) "identical fault records" true (fa = fb)
@@ -645,31 +636,49 @@ let assemble_branchy (inits, segs, reps) =
   Builder.ins b Hlt;
   Builder.assemble b ~base:0x1000L
 
+(* Chained execution against the per-instruction interpreter, two
+   threads at fine quanta, once plain and once with timer ticks, a
+   warmup mark on thread 0 and an armed counter on thread 1: every event
+   must fire on its exact instruction, also inside a block the chain
+   tier runs only up to the event boundary before the interpreter
+   finishes it. *)
 let prop_chain_equiv =
   QCheck.Test.make
-    ~name:"chained ≡ per-block ≡ per-ins on random branchy kernels" ~count:60
+    ~name:"chained ≡ per-ins on random branchy kernels (timer, mark, counter)"
+    ~count:60
     (QCheck.make ~print:show_branchy_kernel branchy_kernel_gen)
     (fun kernel ->
       let prog = assemble_branchy kernel in
-      let run ~chain ~per_ins =
+      let run ~per_ins ~events =
         let m =
           Machine.create
-            (Machine.Free { seed = 11L; quantum_min = 30; quantum_max = 90 })
+            (Machine.Free { seed = 11L; quantum_min = 3; quantum_max = 17 })
         in
-        Machine.set_chain_enabled m chain;
         if per_ins then (Machine.hooks m).Machine.on_ins <- Some (fun _ _ _ -> ());
         Addr_space.store (Machine.mem m) 0x1000L prog.Builder.code;
-        let ctx = Context.create () in
-        ctx.Context.rip <- 0x1000L;
-        let tid = Machine.add_thread m ctx in
+        for _ = 0 to 1 do
+          let ctx = Context.create () in
+          ctx.Context.rip <- 0x1000L;
+          ignore (Machine.add_thread m ctx)
+        done;
+        if events then begin
+          Machine.set_timer m ~interval:37 ~cycles:500 ~seed:3L;
+          Machine.arm_mark m 0 ~target:41L;
+          Machine.arm_counter m 1 ~target:59L
+        end;
         Machine.run m;
-        let th = Machine.thread m tid in
-        (Context.to_bytes th.Machine.ctx, th.Machine.retired, th.Machine.cycles)
+        List.map
+          (fun th ->
+            ( Context.to_bytes th.Machine.ctx,
+              (th.Machine.retired, th.Machine.cycles),
+              (th.Machine.mark_retired, th.Machine.mark_cycles),
+              th.Machine.counter_fired,
+              th.Machine.state ))
+          (Machine.threads m)
       in
-      let a = run ~chain:true ~per_ins:false in
-      let b = run ~chain:false ~per_ins:false in
-      let c = run ~chain:true ~per_ins:true in
-      a = b && a = c)
+      List.for_all
+        (fun events -> run ~per_ins:false ~events = run ~per_ins:true ~events)
+        [ false; true ])
 
 (* --- copy-on-write snapshots: warm once, fork many ---------------------------- *)
 
@@ -1023,8 +1032,8 @@ let suite =
     Alcotest.test_case "block run ≡ stepped replay (ctx, cycles, profile)" `Quick
       test_block_run_matches_step;
     Alcotest.test_case "note_block ≡ per-ins note" `Quick test_note_block_equivalence;
-    Alcotest.test_case "chain: chained ≡ disabled ≡ per-ins (BBV included)" `Quick
-      test_chained_matches_disabled_and_per_ins;
+    Alcotest.test_case "chain: chained ≡ per-ins (BBV included)" `Quick
+      test_chained_matches_per_ins;
     Alcotest.test_case "chain: SMC dirties mid-chain" `Quick test_chain_smc_mid_chain;
     Alcotest.test_case "chain: fault mid-chain re-materialises flags" `Quick
       test_chain_fault_mid_chain_flags;
