@@ -368,6 +368,119 @@ let capture_bench () =
   close_out oc;
   print_endline "wrote BENCH_capture.json\n"
 
+(* --- Simulator microbenchmark (BENCH_sim.json) --------------------------
+
+   The simulator legs of e2ebench's sim-mt workload, one row each:
+   Sniper on the pinball, the end-condition profile and Sniper on the
+   ELFie for one 8-thread spec2017_speed_mt 240k-instruction region
+   (Fig. 11), then CoreSim full-system and gem5 SE on a 120k-instruction
+   x264 region ELFie (Table IV). Inputs are captured and converted once;
+   each leg is timed best-of-5, legs interleaved and their order
+   alternating per round. Mins/s is simulated (or, for the end
+   condition, recorded) instructions per wall second. *)
+
+let sim_rounds = 5
+
+let sim_bench () =
+  print_endline "=== Simulator microbenchmark (Fig. 11 / Table IV legs) ===";
+  let module Sniper = Elfie_sniper.Sniper in
+  let module Coresim = Elfie_coresim.Coresim in
+  let module Gem5 = Elfie_gem5.Gem5 in
+  let module Fig11 = Elfie_harness.Exp_fig11 in
+  let module P2e = Elfie_core.Pinball2elf in
+  let module Logger = Elfie_pin.Logger in
+  let module Sysstate = Elfie_pin.Sysstate in
+  let module Programs = Elfie_workloads.Programs in
+  let workdir = "/work" in
+  let region_of (b : Elfie_workloads.Suite.benchmark) length =
+    { Logger.start = Int64.div (Programs.approx_instructions b.spec) 3L; length }
+  in
+  let convert ?(arm_counters = true) marker pinball =
+    let ss = Sysstate.analyze pinball in
+    let options =
+      { P2e.default_options with sysstate = Some ss; marker = Some marker; arm_counters }
+    in
+    (P2e.convert ~options pinball, fun fs -> Sysstate.install ss fs ~workdir)
+  in
+  (* Fig. 11: fine time-slicing capture, as e2ebench and Exp_fig11. *)
+  let mt = List.hd Elfie_workloads.Suite.spec2017_speed_mt in
+  let mt_rs = Programs.run_spec mt.spec in
+  let mt_region = region_of mt 240_000L in
+  let mt_pb =
+    (Logger.capture
+       ~scheduler:
+         (Elfie_machine.Machine.Free
+            { seed = mt_rs.Elfie_pin.Run.seed; quantum_min = 10; quantum_max = 30 })
+       mt_rs ~name:"bench_sim_mt" mt_region)
+      .Logger.pinball
+  in
+  let recorded = Elfie_pinball.Pinball.total_icount mt_pb in
+  let ec = Fig11.pick_end_condition mt_pb mt_rs.Elfie_pin.Run.image in
+  (* No armed counters: the end condition alone ends the ELFie run. *)
+  let mt_elfie, mt_fs = convert ~arm_counters:false P2e.Sniper mt_pb in
+  (* Table IV: the x264 region ELFie. *)
+  let x264 = Option.get (Elfie_workloads.Suite.find "525.x264_r") in
+  let x_pb =
+    (Logger.capture (Programs.run_spec x264.spec) ~name:"bench_sim_x264"
+       (region_of x264 120_000L))
+      .Logger.pinball
+  in
+  let x_elfie, x_fs = convert (P2e.Ssc 0x4649L) x_pb in
+  let legs =
+    [
+      ( "sniper/pinball/" ^ mt.bname,
+        fun () -> (Sniper.simulate_pinball Fig11.config mt_pb).Sniper.instructions );
+      ( "sniper/end_condition/" ^ mt.bname,
+        fun () ->
+          ignore (Fig11.pick_end_condition mt_pb mt_rs.Elfie_pin.Run.image);
+          recorded );
+      ( "sniper/elfie/" ^ mt.bname,
+        fun () ->
+          (Sniper.simulate_elfie ~end_condition:ec ~fs_init:mt_fs ~cwd:workdir
+             ~max_ins:(Int64.mul 20L mt_region.length) Fig11.config mt_elfie)
+            .Sniper.instructions );
+      ( "coresim/full/" ^ x264.bname,
+        fun () ->
+          let r =
+            Coresim.simulate ~mode:Coresim.Full_system ~fs_init:x_fs ~cwd:workdir
+              Coresim.skylake x_elfie
+          in
+          Int64.add r.Coresim.user_instructions r.Coresim.kernel_instructions );
+      ( "gem5/se/" ^ x264.bname,
+        fun () ->
+          (Gem5.simulate_se ~fs_init:x_fs ~cwd:workdir Gem5.nehalem x_elfie)
+            .Gem5.instructions );
+    ]
+  in
+  let best = Array.make (List.length legs) infinity in
+  let sim_ins = Array.make (List.length legs) 0L in
+  let indexed = List.mapi (fun i leg -> (i, leg)) legs in
+  for r = 0 to sim_rounds - 1 do
+    List.iter
+      (fun (i, (_, leg)) ->
+        let t0 = Unix.gettimeofday () in
+        sim_ins.(i) <- leg ();
+        best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
+      (if r land 1 = 0 then indexed else List.rev indexed)
+  done;
+  let rows =
+    List.map
+      (fun (i, (name, _)) ->
+        let mips = Int64.to_float sim_ins.(i) /. best.(i) /. 1e6 in
+        Printf.printf "%-34s %8.1f ms  %9Ld ins  %6.2f Mins/s  (best of %d)\n%!"
+          name (1000. *. best.(i)) sim_ins.(i) mips sim_rounds;
+        Printf.sprintf
+          "    { \"name\": \"%s\", \"wall_s\": %.6f, \"sim_ins\": %Ld, \
+           \"sim_mips\": %.3f, \"rounds\": %d }"
+          (json_escape name) best.(i) sim_ins.(i) mips sim_rounds)
+      indexed
+  in
+  let oc = open_out "BENCH_sim.json" in
+  Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
+    (String.concat ",\n" rows);
+  close_out oc;
+  print_endline "wrote BENCH_sim.json\n"
+
 (* --- Farm store microbenchmark (BENCH_farm.json) -----------------------
 
    The same small manifest run twice against one artifact store: the
@@ -583,6 +696,7 @@ let () =
   let farm_only = ref false in
   let snapshot_only = ref false in
   let capture_only = ref false in
+  let sim_only = ref false in
   let rec parse = function
     | "--jobs" :: n :: rest ->
         jobs := (try int_of_string n with _ -> 0);
@@ -601,6 +715,9 @@ let () =
         parse rest
     | "--capture" :: rest | "--capture-only" :: rest ->
         capture_only := true;
+        parse rest
+    | "--sim" :: rest | "--sim-only" :: rest ->
+        sim_only := true;
         parse rest
     | "--core-kernel" :: k :: rest ->
         (* Diagnostic: run the core microbenchmark on a single kernel
@@ -643,11 +760,16 @@ let () =
     capture_bench ();
     exit 0
   end;
+  if !sim_only then begin
+    sim_bench ();
+    exit 0
+  end;
   core_bench ();
   if !core_only then exit 0;
   simpoint_bench ();
   snapshot_bench ();
   capture_bench ();
+  sim_bench ();
   farm_bench ();
   print_endline "=== Bechamel micro-benchmarks (one per table/figure) ===";
   run_benchmarks ();

@@ -79,7 +79,6 @@ type model = {
   footprint : (int64, unit) Hashtbl.t;
   predictor : Bytes.t;
   rng : Elfie_util.Rng.t;
-  mutable enabled : bool;
   mutable cycles : float;
   mutable user_ins : int64;
   mutable kernel_ins : int64;
@@ -90,7 +89,7 @@ type model = {
 
 let predictor_entries = 4096
 
-let fresh_model cfg mode ~enabled =
+let fresh_model cfg mode =
   {
     cfg;
     mode;
@@ -106,7 +105,6 @@ let fresh_model cfg mode ~enabled =
     footprint = Hashtbl.create 1024;
     predictor = Bytes.make predictor_entries '\002';
     rng = Elfie_util.Rng.create 0x5ca1ab1eL;
-    enabled;
     cycles = 0.0;
     user_ins = 0L;
     kernel_ins = 0L;
@@ -187,47 +185,46 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
   in
   let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
   Elfie_pin.Tools.attach_global_profile machine;
-  let model = fresh_model cfg mode ~enabled:(not from_marker) in
+  let model = fresh_model cfg mode in
   let on_ins tid _pc ins =
-    if model.enabled then begin
-      model.user_ins <- Int64.add model.user_ins 1L;
-      model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.dispatch_width);
-      (match measure_after with
-      | Some w when model.user_ins = w ->
-          model.window_start_ins <- model.user_ins;
-          model.window_start_cycles <- model.cycles
-      | Some _ | None -> ());
-      (match model.mode with
-      | Full_system
-        when Int64.rem model.user_ins (Int64.of_int cfg.timer_interval_ins) = 0L ->
-          kernel_work model cfg.timer_kernel_ins
-      | Full_system | User_level -> ());
-      match Insn.classify ins with
-      | Insn.K_syscall ->
-          model.syscalls <- Int64.add model.syscalls 1L;
-          (match model.mode with
-          | User_level -> ()
-          | Full_system ->
-              let nr =
-                Int64.to_int (Context.get (Machine.thread machine tid).Machine.ctx Reg.RAX)
-              in
-              kernel_work model (Abi.ring0_instructions nr ~bytes:64))
-      | K_alu | K_load | K_store | K_branch | K_call | K_vector | K_other -> ()
-    end
+    model.user_ins <- Int64.add model.user_ins 1L;
+    model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.dispatch_width);
+    (match measure_after with
+    | Some w when model.user_ins = w ->
+        model.window_start_ins <- model.user_ins;
+        model.window_start_cycles <- model.cycles
+    | Some _ | None -> ());
+    (match model.mode with
+    | Full_system
+      when Int64.rem model.user_ins (Int64.of_int cfg.timer_interval_ins) = 0L ->
+        kernel_work model cfg.timer_kernel_ins
+    | Full_system | User_level -> ());
+    match Insn.classify ins with
+    | Insn.K_syscall ->
+        model.syscalls <- Int64.add model.syscalls 1L;
+        (match model.mode with
+        | User_level -> ()
+        | Full_system ->
+            let nr =
+              Int64.to_int (Context.get (Machine.thread machine tid).Machine.ctx Reg.RAX)
+            in
+            kernel_work model (Abi.ring0_instructions nr ~bytes:64))
+    | K_alu | K_load | K_store | K_branch | K_call | K_vector | K_other -> ()
   in
   let tool =
     {
       (Elfie_pin.Pintool.empty ~name:"coresim") with
       on_ins = Some on_ins;
-      on_mem_read = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_mem_write = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_branch = Some (fun _ pc _ taken -> if model.enabled then branch model pc taken);
-      on_marker = Some (fun _ _ -> model.enabled <- true);
+      on_mem_read = Some (fun _ addr _ -> mem_access model addr);
+      on_mem_write = Some (fun _ addr _ -> mem_access model addr);
+      on_branch = Some (fun _ pc _ taken -> branch model pc taken);
     }
   in
-  let detach = Elfie_pin.Pintool.attach machine [ tool ] in
+  let detach =
+    Elfie_pin.Pintool.attach_from_marker ~armed:(not from_marker) machine tool
+  in
   Machine.run ~max_ins machine;
-  detach ();
+  let fast_forward = detach () in
   let completed =
     List.for_all
       (fun th -> th.Machine.state <> Machine.Runnable)
@@ -262,5 +259,8 @@ let simulate ?(mode = User_level) ?(from_marker = true) ?measure_after
         ("instructions", Trace.I r.user_instructions);
         ("cpi", Trace.F r.cpi);
         ("completed", Trace.B r.completed);
+        ("fast_forward_instructions", Trace.I fast_forward);
+        ( "superblocks_built",
+          Trace.I (Int64.of_int (Machine.chain_stats machine).superblocks_built) );
       ];
   r

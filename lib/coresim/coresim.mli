@@ -15,7 +15,10 @@
       flushes the TLB on kernel entry.
 
     The model arms at the first ROI marker (Simics "magic instruction"),
-    skipping ELFie startup code. *)
+    skipping ELFie startup code, which runs hook-free on the machine's
+    chain tier. The [coresim.simulate] span reports
+    [fast_forward_instructions] (retired before the marker) and
+    [superblocks_built]. *)
 
 type mode = User_level | Full_system
 

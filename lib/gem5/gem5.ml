@@ -70,7 +70,6 @@ type model = {
   l1 : Cache.t;
   l2 : Cache.t;
   predictor : Bytes.t;
-  mutable enabled : bool;
   mutable cycles : float;
   mutable instructions : int64;
   (* The overlap window hides part of each long-latency miss: a bigger
@@ -80,13 +79,12 @@ type model = {
 
 let predictor_entries = 4096
 
-let fresh cfg ~enabled =
+let fresh cfg =
   {
     cfg;
     l1 = Cache.create cfg.l1;
     l2 = Cache.create cfg.l2;
     predictor = Bytes.make predictor_entries '\002';
-    enabled;
     cycles = 0.0;
     instructions = 0L;
     overlap_window =
@@ -137,32 +135,31 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -
   in
   let _ = Loader.load kernel machine image ~argv:[ "elfie" ] ~env:[] in
   Elfie_pin.Tools.attach_global_profile machine;
-  let model = fresh cfg ~enabled:(not from_marker) in
+  let model = fresh cfg in
   let on_ins _tid _pc ins =
-    if model.enabled then begin
-      model.instructions <- Int64.add model.instructions 1L;
-      model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width);
-      match Insn.classify ins with
-      | Insn.K_vector ->
-          (* SSE2-era vector support: half throughput. *)
-          model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width)
-      | K_syscall -> model.cycles <- model.cycles +. 120.0
-      | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
-    end
+    model.instructions <- Int64.add model.instructions 1L;
+    model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width);
+    match Insn.classify ins with
+    | Insn.K_vector ->
+        (* SSE2-era vector support: half throughput. *)
+        model.cycles <- model.cycles +. (1.0 /. float_of_int model.cfg.issue_width)
+    | K_syscall -> model.cycles <- model.cycles +. 120.0
+    | K_alu | K_load | K_store | K_branch | K_call | K_other -> ()
   in
   let tool =
     {
       (Elfie_pin.Pintool.empty ~name:"gem5-se") with
       on_ins = Some on_ins;
-      on_mem_read = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_mem_write = Some (fun _ addr _ -> if model.enabled then mem_access model addr);
-      on_branch = Some (fun _ pc _ taken -> if model.enabled then branch model pc taken);
-      on_marker = Some (fun _ _ -> model.enabled <- true);
+      on_mem_read = Some (fun _ addr _ -> mem_access model addr);
+      on_mem_write = Some (fun _ addr _ -> mem_access model addr);
+      on_branch = Some (fun _ pc _ taken -> branch model pc taken);
     }
   in
-  let detach = Elfie_pin.Pintool.attach machine [ tool ] in
+  let detach =
+    Elfie_pin.Pintool.attach_from_marker ~armed:(not from_marker) machine tool
+  in
   Machine.run ~max_ins machine;
-  detach ();
+  let fast_forward = detach () in
   let r =
     {
       instructions = model.instructions;
@@ -188,5 +185,8 @@ let simulate_se ?(from_marker = true) ?(seed = 13L) ?(fs_init = fun (_ : Fs.t) -
         ("instructions", Trace.I r.instructions);
         ("ipc", Trace.F r.ipc);
         ("completed", Trace.B r.completed);
+        ("fast_forward_instructions", Trace.I fast_forward);
+        ( "superblocks_built",
+          Trace.I (Int64.of_int (Machine.chain_stats machine).superblocks_built) );
       ];
   r

@@ -43,7 +43,10 @@ type result = {
 }
 
 (** Simulate an ELF binary in SE mode. Timing starts at the first ROI
-    marker unless [from_marker] is false. *)
+    marker unless [from_marker] is false; the code before it runs
+    hook-free on the machine's chain tier. The [gem5.simulate] span
+    reports [fast_forward_instructions] (retired before the marker) and
+    [superblocks_built]. *)
 val simulate_se :
   ?from_marker:bool ->
   ?seed:int64 ->

@@ -332,6 +332,7 @@ let thread t tid =
   t.thread_arr.(tid)
 
 let threads t = Array.to_list t.thread_arr
+let thread_count t = Array.length t.thread_arr
 
 let exit_thread t tid ~status =
   let th = thread t tid in
@@ -1816,8 +1817,9 @@ let[@inline] observe t th (b : bb) n =
    first block that cannot run whole (syscall, marker or trap tail,
    window cut, or less event fuel than its length) runs its exact
    micro-ops up to the event boundary and the interpreter finishes it.
-   Hooks can only appear or vanish from a syscall handler, and syscalls
-   terminate translation, so hook presence is invariant within a block.
+   Hooks can only appear or vanish from a syscall handler or a marker
+   callback, and syscalls and markers both terminate translation, so
+   hook presence is invariant within a block.
    Returns how many instructions were attempted (a faulting fetch or
    instruction counts as one, matching the per-step accounting). *)
 let exec_block t th limit =
@@ -2060,6 +2062,8 @@ let run_quantum t tid n limit =
     executed := !executed + exec_block t th room
   done;
   !executed
+
+let run_thread t tid n = run_quantum t tid n None
 
 let record_slice t tid n =
   if t.record_schedule && n > 0 then begin

@@ -50,7 +50,11 @@ type scheduler =
     simulators fill them in. While any of [on_ins], [on_mem_read],
     [on_mem_write] or [on_branch] is set, the machine runs on its
     per-instruction interpreter; otherwise on the superblock chain
-    tier, with identical architectural results. *)
+    tier, with identical architectural results. Hooks may be installed
+    or removed between runs, from a syscall handler, or from an
+    [on_marker] callback (how the simulators arm their models at the
+    ROI marker): syscalls and markers end translation, so the set of
+    hooks never changes inside a block. *)
 type hooks = {
   mutable on_ins : (int -> int64 -> Elfie_isa.Insn.t -> unit) option;
       (** tid, pc, instruction — before execution *)
@@ -87,6 +91,11 @@ val add_thread : t -> Context.t -> int
 
 val thread : t -> int -> thread
 val threads : t -> thread list
+
+(** Number of threads ever added; tids are [0 .. thread_count t - 1].
+    Lets a scheduling loop scan threads with {!thread} without
+    building a list. *)
+val thread_count : t -> int
 
 (** Terminate one thread (used by [exit]) or the whole process. *)
 val exit_thread : t -> int -> status:int -> unit
@@ -134,6 +143,15 @@ val cut_schedule : t -> unit
     recorded in the thread state. Raises [Invalid_argument] if the
     thread is not runnable. *)
 val step : t -> int -> unit
+
+(** [run_thread t tid n] runs up to [n] instructions of [tid] and
+    returns how many were attempted. It stops early exactly where [n]
+    successive {!step}s would: when the thread exits or faults, or a
+    stop is requested. Unlike {!step} it runs whole blocks on the chain
+    tier while no per-instruction hook is set, and it is a no-op on a
+    thread that is not runnable. This is the entry point of code that
+    does its own scheduling, like cycle-driven simulators. *)
+val run_thread : t -> int -> int -> int
 
 (** Install (or clear) the basic-block observer, called once per
     executed block prefix with the block's instruction PCs, the number

@@ -25,6 +25,16 @@ val empty : name:string -> t
     installed. Returns a detach function restoring the previous hooks. *)
 val attach : Elfie_machine.Machine.t -> t list -> unit -> unit
 
+(** [attach_from_marker machine tool] attaches [tool] when the first ROI
+    marker ({!Elfie_isa.Insn.is_marker}) executes, so the code before
+    the region runs hook-free on the machine's chain tier. The marker
+    instruction itself is not observed by [tool]. [~armed:true]
+    attaches [tool] at once instead. Returns a detach function that
+    also reports how many instructions retired before [tool] was
+    attached (all of them when no marker ran). *)
+val attach_from_marker :
+  ?armed:bool -> Elfie_machine.Machine.t -> t -> unit -> int64
+
 (** Count of instrumented instructions seen by an [on_ins]-only probe —
     convenience for overhead experiments. *)
 val instruction_counter : unit -> t * (unit -> int64)

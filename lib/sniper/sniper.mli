@@ -54,20 +54,32 @@ type result = {
 }
 
 (** End-of-simulation criterion: stop once the instruction at [pc] has
-    executed [count] times globally across all threads. *)
+    executed [count] times globally across all threads. Executions are
+    counted from where the model starts: the ROI marker for an ELFie
+    (startup code before it is never counted), the first instruction
+    for a pinball. That matches {!profile_end_condition}, which counts
+    from region start. *)
 type end_condition = { pc : int64; count : int }
 
 (** Determine a region-end criterion with a separate profiling run of
     the pinball (the paper's methodology): the last instruction executed
     in constrained replay outside the [exclude] address range (pass the
     spin-barrier code range), with its global in-region execution
-    count. *)
+    count. The replay runs hook-free: a block observer counts block
+    prefixes per translation, and they are expanded to the PC's count
+    at the end. When every executed instruction lies inside [exclude]
+    the result is [{ pc = 0L; count = 0 }], a condition that cannot
+    fire. *)
 val profile_end_condition :
   ?exclude:int64 * int64 -> Elfie_pinball.Pinball.t -> end_condition
 
 (** Simulate an ELFie (or any VX86 ELF executable) natively. The timing
-    model arms when the first ROI marker retires; pass
-    [~from_marker:false] to model from the first instruction. *)
+    model arms when the first ROI marker executes; until then the
+    startup code runs hook-free on the machine's chain tier
+    ({!Elfie_pin.Pintool.attach_from_marker}). Pass [~from_marker:false]
+    to model from the first instruction. The [sniper.simulate] span
+    reports [fast_forward_instructions] (retired before the marker) and
+    [superblocks_built]. *)
 val simulate_elfie :
   ?end_condition:end_condition ->
   ?from_marker:bool ->

@@ -1,12 +1,22 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 raw bytes: reading and writing it with
+   the unboxed [Bytes] int64 primitives lets a draw run without
+   allocating, where a [mutable state : int64] field would box every
+   update. *)
+type t = Bytes.t
 
-let create seed = { state = seed }
+let[@inline] get t = Bytes.get_int64_le t 0
+let[@inline] set t v = Bytes.set_int64_le t 0 v
 
-let next64 t =
-  let ( +% ) = Int64.add and ( *% ) = Int64.mul in
+let create seed =
+  let t = Bytes.create 8 in
+  set t seed;
+  t
+
+let[@inline] next64 t =
+  let ( *% ) = Int64.mul in
   let ( ^> ) v n = Int64.logxor v (Int64.shift_right_logical v n) in
-  t.state <- t.state +% 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = Int64.add (get t) 0x9E3779B97F4A7C15L in
+  set t z;
   let z = (z ^> 30) *% 0xBF58476D1CE4E5B9L in
   let z = (z ^> 27) *% 0x94D049BB133111EBL in
   z ^> 31
@@ -14,9 +24,9 @@ let next64 t =
 let split t = create (next64 t)
 
 (* Same stream position as [t], advancing independently from here on. *)
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
-let reseed t seed = t.state <- seed
+let reseed t seed = set t seed
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

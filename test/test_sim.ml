@@ -39,7 +39,8 @@ let test_sniper_pinball_matches_recording () =
 let test_sniper_end_condition () =
   let pb, image, fs_init = elfie_with_sysstate "sn3" in
   ignore pb;
-  (* Stop after the marker instruction itself has run once. *)
+  (* PC 0 never executes, so the end condition cannot fire: the run
+     ends when the region's armed counters exit the thread. *)
   let r =
     Sniper.simulate_elfie ~fs_init ~cwd:"/work"
       ~end_condition:{ Sniper.pc = 0L; count = max_int }
@@ -188,6 +189,94 @@ let test_sniper_end_condition_stops_early () =
   Alcotest.(check bool) "stopped long before region end" true
     (r.Sniper.instructions < Int64.div (Elfie_pinball.Pinball.total_icount pb) 2L)
 
+(* --- end condition ----------------------------------------------------------- *)
+
+let check_end_condition ?exclude name pb =
+  let expected = End_condition_oracle.profile_end_condition ?exclude pb in
+  let got = Sniper.profile_end_condition ?exclude pb in
+  Alcotest.check Tutil.i64 (name ^ ": pc") expected.Sniper.pc got.Sniper.pc;
+  Alcotest.(check int) (name ^ ": count") expected.Sniper.count got.Sniper.count;
+  Alcotest.(check bool) (name ^ ": count > 0") true (got.Sniper.count > 0);
+  got
+
+let test_end_condition_matches_oracle () =
+  ignore (check_end_condition "1 thread" (Tutil.tiny_pinball "ec1"));
+  let mt = Tutil.tiny_pinball ~threads:4 "ec4" in
+  let ec = check_end_condition "4 threads" mt in
+  (* Excluding the last PC (and its neighbourhood) moves the answer. *)
+  let exclude = (Int64.sub ec.Sniper.pc 16L, Int64.add ec.Sniper.pc 1L) in
+  let ex = check_end_condition ~exclude "4 threads, exclude" mt in
+  Alcotest.(check bool) "exclude moves the end pc" true
+    (ex.Sniper.pc < fst exclude || ex.Sniper.pc >= snd exclude);
+  (* Self-modifying code re-translates a block head mid-region: its two
+     translations must both be counted. *)
+  let rs = Test_logger.smc_spec () in
+  let total = (Elfie_pin.Run.native rs).Elfie_pin.Run.retired in
+  let smc =
+    (Elfie_pin.Logger.capture rs ~name:"ec-smc"
+       { Elfie_pin.Logger.start = Int64.div total 4L; length = Int64.div total 2L })
+      .Elfie_pin.Logger.pinball
+  in
+  ignore (check_end_condition "self-modifying code" smc);
+  (* The case is only meaningful if replay really re-translates a head. *)
+  let machine, _, _ = Elfie_pin.Replayer.materialize ~constrained:true smc in
+  let arrays = Hashtbl.create 64 in
+  Elfie_machine.Machine.set_block_observer machine
+    (Some
+       (fun ~tid:_ ~pcs ~n:_ ~ends_block:_ ->
+         let seen = Option.value ~default:[] (Hashtbl.find_opt arrays pcs.(0)) in
+         if not (List.memq pcs seen) then Hashtbl.replace arrays pcs.(0) (pcs :: seen)));
+  Elfie_machine.Machine.run machine;
+  Alcotest.(check bool) "a block head was re-translated" true
+    (Hashtbl.fold (fun _ l acc -> acc || List.length l > 1) arrays false)
+
+let test_end_condition_all_excluded () =
+  let ec =
+    Sniper.profile_end_condition ~exclude:(0L, Int64.max_int) (Tutil.tiny_pinball "ec0")
+  in
+  Alcotest.(check int) "nothing counted" 0 ec.Sniper.count
+
+(* --- fast-forward ------------------------------------------------------------ *)
+
+(* Every simulator reaches the ROI marker hook-free on the chain tier
+   (the startup instructions retire there and superblocks get built),
+   then models only the region. *)
+let test_simulators_fast_forward () =
+  let pb, image, fs_init = elfie_with_sysstate "ff" in
+  let region = Elfie_pinball.Pinball.total_icount pb in
+  let was_enabled = Elfie_obs.Trace.enabled () in
+  Elfie_obs.Trace.set_enabled true;
+  Fun.protect ~finally:(fun () -> Elfie_obs.Trace.set_enabled was_enabled)
+  @@ fun () ->
+  let check span instructions run =
+    Elfie_obs.Trace.reset ();
+    let simulated = instructions (run ()) in
+    Alcotest.(check bool) (span ^ ": counts region only") true
+      (Int64.abs (Int64.sub simulated region) < 100L);
+    match
+      List.filter
+        (fun e -> Elfie_obs.Trace.event_name e = span)
+        (Elfie_obs.Trace.events ())
+    with
+    | [ e ] ->
+        let positive attr =
+          match Elfie_obs.Trace.attr e attr with
+          | Some (Elfie_obs.Trace.I n) -> n > 0L
+          | Some _ | None -> false
+        in
+        Alcotest.(check bool) (span ^ ": fast_forward_instructions > 0") true
+          (positive "fast_forward_instructions");
+        Alcotest.(check bool) (span ^ ": superblocks_built > 0") true
+          (positive "superblocks_built")
+    | _ -> Alcotest.failf "expected one %s span" span
+  in
+  check "sniper.simulate" (fun r -> r.Sniper.instructions) (fun () ->
+      Sniper.simulate_elfie ~fs_init ~cwd:"/work" (Sniper.gainestown ~cores:1) image);
+  check "coresim.simulate" (fun r -> r.Coresim.user_instructions) (fun () ->
+      Coresim.simulate ~fs_init ~cwd:"/work" Coresim.skylake image);
+  check "gem5.simulate" (fun r -> r.Gem5.instructions) (fun () ->
+      Gem5.simulate_se ~fs_init ~cwd:"/work" Gem5.nehalem image)
+
 let suite =
   [
     Alcotest.test_case "simulators deterministic" `Quick test_simulators_deterministic;
@@ -207,4 +296,10 @@ let suite =
     Alcotest.test_case "gem5 haswell beats nehalem" `Quick
       test_gem5_haswell_beats_nehalem;
     Alcotest.test_case "gem5 counts from marker" `Quick test_gem5_counts_from_marker;
+    Alcotest.test_case "end condition = per-instruction oracle" `Quick
+      test_end_condition_matches_oracle;
+    Alcotest.test_case "end condition, everything excluded" `Quick
+      test_end_condition_all_excluded;
+    Alcotest.test_case "simulators fast-forward to the marker" `Quick
+      test_simulators_fast_forward;
   ]

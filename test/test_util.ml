@@ -106,6 +106,50 @@ let test_split_independent () =
   let child = Rng.split parent in
   Alcotest.(check bool) "distinct" false (Rng.next64 parent = Rng.next64 child)
 
+(* Golden streams: the first eight draws of a fresh generator, of a
+   split child, after [copy] and after [reseed]. Any change to the
+   state representation must leave every stream exactly here. *)
+let rng_golden_create =
+  [ 0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+    0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+    0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L ]
+
+let rng_golden_split_child =
+  [ 0x57e1faba65107204L; 0xf4abd143feb24055L; 0x7c816738c12903b2L;
+    0x113e5dec6f8fd8a8L; 0xad4a599062fd1739L; 0x11485b98a7ea20b7L;
+    0x32028f50341ebd74L; 0xbc16a3d4cc48678eL ]
+
+let rng_golden_reseed_7 =
+  [ 0x63cbe1e459320dd7L; 0x044c3cd7f43c661cL; 0xe6984080bab12a02L;
+    0x953aeb70673e29cbL; 0x73d33b666a1e21daL; 0x3fdabe86cbbeaa11L;
+    0x77cbc4a133c2d0f6L; 0x53fcd6513d02befeL ]
+
+let test_rng_golden_streams () =
+  let draws r = List.init 8 (fun _ -> Rng.next64 r) in
+  let check name expected r =
+    Alcotest.(check (list Tutil.i64)) name expected (draws r)
+  in
+  check "create 42" rng_golden_create (Rng.create 42L);
+  let parent = Rng.create 42L in
+  let child = Rng.split parent in
+  check "split child" rng_golden_split_child child;
+  (* The split consumed the parent's first draw. *)
+  check "split parent"
+    (List.tl rng_golden_create @ [ 0x5705b8770b3d7dd5L ])
+    parent;
+  let a = Rng.create 42L in
+  ignore (Rng.next64 a);
+  ignore (Rng.next64 a);
+  let b = Rng.copy a in
+  let tail = List.filteri (fun i _ -> i >= 2) rng_golden_create
+             @ [ 0x5705b8770b3d7dd5L; 0x9e54d738297f77aeL ] in
+  check "copy" tail b;
+  check "copied-from advances alone" tail a;
+  let r = Rng.create 42L in
+  ignore (Rng.next64 r);
+  Rng.reseed r 7L;
+  check "reseed 7" rng_golden_reseed_7 r
+
 (* --- backoff --------------------------------------------------------------- *)
 
 let backoff_policy =
@@ -175,6 +219,7 @@ let suite =
     Alcotest.test_case "rng float bounds" `Quick test_rng_float_bounds;
     Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "split independence" `Quick test_split_independent;
+    Alcotest.test_case "rng golden streams" `Quick test_rng_golden_streams;
     Alcotest.test_case "backoff schedule caps at ceiling" `Quick
       test_backoff_schedule;
     Alcotest.test_case "backoff jitter capped + same-seed deterministic"
