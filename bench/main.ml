@@ -150,31 +150,19 @@ let simpoint_bench () =
   let block_row = bench_profile "simpoint/profile-block-driven" false in
   let p, _ = run_profile ~per_ins:false ~seed:100L in
   let points = Elfie_simpoint.Simpoint.project_profile ~dims:15 p in
-  let cluster jobs =
+  let cluster_row =
     let rng = Elfie_util.Rng.create 7L in
     let t0 = Unix.gettimeofday () in
-    let r = Elfie_simpoint.Kmeans.best ~jobs ~rng ~max_k:30 points in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let r1, w1 = cluster 1 in
-  let jobs_n = max 2 (Elfie_util.Pool.default_jobs ()) in
-  let rn, wn = cluster jobs_n in
-  if
-    r1.Elfie_simpoint.Kmeans.k <> rn.Elfie_simpoint.Kmeans.k
-    || r1.Elfie_simpoint.Kmeans.assignments
-       <> rn.Elfie_simpoint.Kmeans.assignments
-  then Printf.printf "WARNING: Kmeans.best differs across --jobs settings\n%!";
-  let cluster_row name jobs (r : Elfie_simpoint.Kmeans.result) wall =
-    Printf.printf "%-32s %10.4f s  (k=%d over %d points, jobs=%d)\n%!" name
-      wall r.k (Array.length points) jobs;
+    let r = Elfie_simpoint.Kmeans.best ~rng ~max_k:30 points in
+    let wall = Unix.gettimeofday () -. t0 in
+    Printf.printf "%-32s %10.4f s  (k=%d over %d points)\n%!" "simpoint/cluster"
+      wall r.k (Array.length points);
     Printf.sprintf
-      "    { \"name\": \"%s\", \"wall_s\": %.6f, \"k\": %d, \"points\": %d, \
-       \"jobs\": %d }"
-      (json_escape name) wall r.k (Array.length points) jobs
+      "    { \"name\": \"simpoint/cluster\", \"wall_s\": %.6f, \"k\": %d, \
+       \"points\": %d }"
+      wall r.k (Array.length points)
   in
-  let c1_row = cluster_row "simpoint/cluster-jobs-1" 1 r1 w1 in
-  let cn_row = cluster_row "simpoint/cluster-jobs-N" jobs_n rn wn in
-  let rows = [ per_ins_row; block_row; c1_row; cn_row ] in
+  let rows = [ per_ins_row; block_row; cluster_row ] in
   let oc = open_out "BENCH_simpoint.json" in
   Printf.fprintf oc "{\n  \"benchmarks\": [\n%s\n  ]\n}\n"
     (String.concat ",\n" rows);

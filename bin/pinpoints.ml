@@ -11,9 +11,7 @@ open Cmdliner
 
 module Simpoint = Elfie_simpoint.Simpoint
 
-let run bench seed slice warmup max_k jobs out =
-  Elfie_util.Pool.set_default_jobs
-    (if jobs = 0 then Elfie_util.Pool.recommended () else jobs);
+let run bench seed slice warmup max_k out =
   let b =
     match Elfie_workloads.Suite.find bench with
     | Some b -> b
@@ -91,15 +89,6 @@ let cmd =
     Arg.(value & opt int64 200_000L & info [ "warmup" ] ~doc:"Warmup length.")
   in
   let max_k = Arg.(value & opt int 50 & info [ "maxk" ] ~doc:"Maximum clusters.") in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Fan the k-means model-selection sweep across up to N domains; \
-             0 means the host's recommended domain count. Results are \
-             identical at any value.")
-  in
   let out =
     Arg.(
       value
@@ -109,6 +98,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "pinpoints" ~doc:"SimPoint phase analysis and region capture")
-    Term.(const run $ bench $ seed $ slice $ warmup $ max_k $ jobs $ out)
+    Term.(const run $ bench $ seed $ slice $ warmup $ max_k $ out)
 
 let () = exit (Cmd.eval cmd)

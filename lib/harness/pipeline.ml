@@ -204,7 +204,7 @@ let validate ?jobs ?(params = Simpoint.default_params) ?(trials = 3)
           cached
             (fun ~program -> Elfie_farm.Codec.selection_key ~program ~params ())
             Elfie_farm.Codec.cached_selection
-            (fun () -> Simpoint.select ?jobs ~params profile)
+            (fun () -> Simpoint.select ~params profile)
         in
         Trace.add_attr sp "k" (Trace.I (Int64.of_int sel.Simpoint.k));
         sel)

@@ -251,7 +251,7 @@ let fresh_hooks () =
     on_thread_exit = None;
   }
 
-let create ?(timing = Timing.default) scheduler =
+let create scheduler =
   let sched =
     match scheduler with
     | Free { seed; quantum_min; quantum_max } ->
@@ -265,7 +265,7 @@ let create ?(timing = Timing.default) scheduler =
     thread_list = [];
     thread_arr = [||];
     hooks = fresh_hooks ();
-    timing = Timing.create timing;
+    timing = Timing.create ();
     sched;
     syscall_handler = (fun _ _ -> failwith "Machine: no syscall handler installed");
     syscall_filter = None;
@@ -1462,7 +1462,7 @@ let build_block t pc =
       bb_pc.(i) <- Int64.add pc (Int64.of_int off);
       bb_ins.(i) <- ins;
       bb_next.(i) <- Int64.add pc (Int64.of_int end_off);
-      bb_cost.(i) <- Timing.ins_cost t.timing (Insn.classify ins))
+      bb_cost.(i) <- Timing.ins_cost (Insn.classify ins))
     items;
   let bb_prefix = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do

@@ -239,9 +239,8 @@ let bic result points =
   let params = k *. (dim +. 1.0) in
   log_likelihood -. (0.5 *. params *. log n)
 
-(* The k-sweep runs in fixed-size chunks so the early-termination
-   decision depends only on chunk boundaries, never on how many pool
-   workers evaluated a chunk. *)
+(* The k-sweep runs in fixed-size chunks: the early-termination
+   decision is taken at chunk boundaries. *)
 let chunk_size = 8
 
 (* SimPoint's model-selection rule: score every k, then take the
@@ -249,10 +248,8 @@ let chunk_size = 8
    plain argmax overfits, since BIC keeps creeping up with k.
 
    Each k clusters under its own child stream derived from one draw of
-   the caller's generator, so the per-k work is order-independent and
-   fans out across {!Elfie_util.Pool} with bit-identical results at any
-   [jobs] setting. *)
-let best ?jobs ~rng ~max_k points =
+   the caller's generator, so the per-k work is order-independent. *)
+let best ~rng ~max_k points =
   let n = Array.length points in
   let kmax = max 1 (min max_k n) in
   let base = Rng.next64 rng in
@@ -272,7 +269,7 @@ let best ?jobs ~rng ~max_k points =
     let count = min chunk_size (kmax - !next_k + 1) in
     let ks = List.init count (fun i -> !next_k + i) in
     next_k := !next_k + count;
-    let evaluated = Elfie_util.Pool.map ?jobs eval ks in
+    let evaluated = List.map eval ks in
     let old_bmax = !bmax and old_bmin = !bmin in
     List.iter
       (fun (_, s) ->

@@ -32,16 +32,9 @@ val cluster_naive :
 (** [best ~rng ~max_k points] tries k = 1 .. max_k and picks the
     smallest k whose BIC score reaches 90% of the observed range —
     SimPoint's maxK model-selection rule. Each k clusters under its own
-    RNG stream derived from one draw of [rng] and the sweep fans out
-    across {!Elfie_util.Pool} ([jobs] defaults to the pool default), in
-    fixed-size chunks with BIC-plateau early termination — results are
-    bit-identical at any [jobs] value. *)
-val best :
-  ?jobs:int ->
-  rng:Elfie_util.Rng.t ->
-  max_k:int ->
-  float array array ->
-  result
+    RNG stream derived from one draw of [rng], and the sweep runs in
+    fixed-size chunks with BIC-plateau early termination. *)
+val best : rng:Elfie_util.Rng.t -> max_k:int -> float array array -> result
 
 (** Bayesian information criterion of a clustering (higher is better). *)
 val bic : result -> float array array -> float

@@ -88,7 +88,7 @@ let region_of_slice params (profile : Elfie_pin.Bbv.profile) ~cluster ~rank idx 
     warmup_actual;
   }
 
-let select ?jobs ?(params = default_params) (profile : Elfie_pin.Bbv.profile) =
+let select ?jobs:_ ?(params = default_params) (profile : Elfie_pin.Bbv.profile) =
   let module Trace = Elfie_obs.Trace in
   let slices = Array.of_list profile.slices in
   if Array.length slices = 0 then invalid_arg "Simpoint.select: empty profile";
@@ -104,7 +104,7 @@ let select ?jobs ?(params = default_params) (profile : Elfie_pin.Bbv.profile) =
   let rng = Elfie_util.Rng.create params.seed in
   let result =
     Trace.with_span "simpoint.cluster" (fun sp ->
-        let r = Kmeans.best ?jobs ~rng ~max_k:params.max_k points in
+        let r = Kmeans.best ~rng ~max_k:params.max_k points in
         Trace.add_attr sp "k" (Trace.I (Int64.of_int r.Kmeans.k));
         r)
   in

@@ -50,8 +50,8 @@ val project : dims:int -> Elfie_pin.Bbv.slice -> float array
     at one row initialisation per block for the whole profile. *)
 val project_profile : dims:int -> Elfie_pin.Bbv.profile -> float array array
 
-(** [jobs] bounds the clustering fan-out (see {!Kmeans.best}); results
-    are identical at any value. *)
+(** [jobs] is accepted and ignored: the clustering sweep runs on the
+    calling domain. The end-to-end benchmark still passes it. *)
 val select : ?jobs:int -> ?params:params -> Elfie_pin.Bbv.profile -> selection
 
 (** Weighted-sum projection of per-region metric values to a
