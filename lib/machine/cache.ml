@@ -40,7 +40,7 @@ let create cfg =
     misses = 0;
   }
 
-let access t addr =
+let[@inline] access t addr =
   let line = Int64.to_int (Int64.shift_right_logical addr t.line_bits) in
   let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets in
   let base = set * t.ways in
@@ -73,6 +73,15 @@ let access t addr =
       false
     end
   end
+
+(* The body of [Timing.walk]. It lives here so that [access] inlines
+   into it: a level probe costs no call. *)
+let walk levels addr =
+  let i = ref 0 in
+  while !i < Array.length levels && not (access (Array.unsafe_get levels !i) addr) do
+    incr i
+  done;
+  !i
 
 (* The tag array is the whole replacement state, so copying it gives a
    clone that hits and misses exactly as the original would. *)

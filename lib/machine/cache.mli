@@ -1,7 +1,8 @@
 (** Set-associative cache model with LRU replacement.
 
-    Shared by the machine's built-in "hardware" timing model and by the
-    Sniper/CoreSim/gem5 simulator substrates. Purely a hit/miss model:
+    Hierarchies of these caches are walked by {!Timing.walk}, which the
+    machine's built-in "hardware" timing model and the Sniper/CoreSim/gem5
+    simulators share. Purely a hit/miss model:
     only tags are stored, one recency-ordered array per set (most recent
     line first). A hit on the most recent line costs one compare; any
     other access moves its line to the front, so a miss evicts the last
@@ -27,6 +28,9 @@ val create : config -> t
 (** [access t addr] returns [true] on hit and updates LRU state;
     on miss the line is filled. *)
 val access : t -> int64 -> bool
+
+(** {!Timing.walk}, the one cache-hierarchy walk. *)
+val walk : t array -> int64 -> int
 
 (** Independent structural clone — identical future hit/miss behaviour,
     identical stats, no shared mutable state (machine snapshots). *)
