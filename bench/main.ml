@@ -18,7 +18,10 @@ open Toolkit
    attached (the per-instruction interpreter), on an L1-resident 64 KiB
    working set; plus the chain tier on a 2 MiB working set, where the
    cache model does most of the core's work. Written to BENCH_core.json
-   so future PRs have a perf trajectory to compare against. *)
+   so later changes have a perf trajectory to compare against. Each row
+   also reports the minor-heap words allocated per retired instruction
+   over the timed run (translation included): the hot-path rule of
+   docs/PERFORMANCE.md keeps the hook-free rows near zero. *)
 
 let core_kernels =
   ref
@@ -53,10 +56,12 @@ let run_core ~hooks ~ws_bytes ~seed =
     let (_ : unit -> unit) = Elfie_pin.Pintool.attach machine [ tool ] in
     ()
   end;
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Elfie_machine.Machine.run ~max_ins:core_max_ins machine;
   let wall = Unix.gettimeofday () -. t0 in
-  (Elfie_machine.Machine.total_retired machine, wall)
+  let ins = Elfie_machine.Machine.total_retired machine in
+  (ins, wall, (Gc.minor_words () -. w0) /. Int64.to_float ins)
 
 let json_escape s = String.concat "\\\"" (String.split_on_char '"' s)
 
@@ -74,24 +79,25 @@ let core_bench () =
   for i = 0 to trials - 1 do
     List.iter
       (fun (name, hooks, ws_bytes) ->
-        let ins, w = run_core ~hooks ~ws_bytes ~seed:(Int64.of_int (100 + i)) in
+        let ins, w, wpi = run_core ~hooks ~ws_bytes ~seed:(Int64.of_int (100 + i)) in
         match Hashtbl.find_opt best name with
-        | Some (_, bw) when bw <= w -> ()
-        | _ -> Hashtbl.replace best name (ins, w))
+        | Some (_, bw, _) when bw <= w -> ()
+        | _ -> Hashtbl.replace best name (ins, w, wpi))
       phases
   done;
   print_endline "=== Machine-core microbenchmark ===";
   let rows =
     List.map
       (fun (name, _, _) ->
-        let ins, best_wall = Hashtbl.find best name in
+        let ins, best_wall, wpi = Hashtbl.find best name in
         let ips = Int64.to_float ins /. best_wall in
-        Printf.printf "%-28s %12.0f ins/s  (%Ld ins, best of %d, %.3f s)\n%!"
-          name ips ins trials best_wall;
+        Printf.printf
+          "%-28s %12.0f ins/s  %6.3f words/ins  (%Ld ins, best of %d, %.3f s)\n%!"
+          name ips wpi ins trials best_wall;
         Printf.sprintf
           "    { \"name\": \"%s\", \"ins_per_sec\": %.0f, \"wall_s\": %.6f, \
-           \"instructions\": %Ld, \"trials\": %d }"
-          (json_escape name) ips best_wall ins trials)
+           \"words_per_ins\": %.4f, \"instructions\": %Ld, \"trials\": %d }"
+          (json_escape name) ips best_wall wpi ins trials)
       phases
   in
   let oc = open_out "BENCH_core.json" in

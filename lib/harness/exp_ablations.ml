@@ -180,9 +180,10 @@ let alternates_study () =
         [ "benchmark"; "coverage (rank 0 only)"; "coverage (3 alternates)";
           "clusters using alternates" ]
       rows
-  ^ "(With fat pinballs and SYSSTATE, rank-0 ELFies of these workloads\n\
-     already re-execute reliably; the fallback guards against the failure\n\
-     modes of study B — lean images — and multi-threaded divergence.)\n"
+  ^ "(Alternates are the other members of a region's cluster, so the\n\
+     fallback can only help a cluster with more than one member. Coverage\n\
+     that stays the same with 3 alternates means no failing region had a\n\
+     member that re-executes, e.g. because its cluster has only one.)\n"
 
 (* --- D: warmup sweep --------------------------------------------------------- *)
 

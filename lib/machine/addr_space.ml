@@ -150,6 +150,19 @@ let[@inline] dirty t page =
     t.code_writes <- t.code_writes + 1
   end
 
+(* The soft-TLB page-data lookups by immediate page number
+   ([addr lsr page_bits]): the machine's per-instruction memory paths
+   compute the page number and offset themselves, so no boxed address
+   crosses into this module. Both raise [Not_found] when the page is
+   unmapped; the write form does the dirty, copy-on-write and
+   code-write bookkeeping first. *)
+let read_page t pn = (lookup_i t pn).data
+
+let write_page t pn =
+  let page = lookup_i t pn in
+  dirty t page;
+  page.data
+
 let read_u8 t addr =
   match lookup_i t (page_number_i addr) with
   | page -> Char.code (Bytes.unsafe_get page.data (offset_i addr))
@@ -208,18 +221,16 @@ let write t addr width v =
 let read_u64 t addr =
   let off = offset_i addr in
   if off <= page_size - 8 then
-    match lookup_i t (page_number_i addr) with
-    | page -> Bytes.get_int64_le page.data off
+    match read_page t (page_number_i addr) with
+    | data -> Bytes.get_int64_le data off
     | exception Not_found -> raise (Fault { addr; access = Read })
   else read t addr 8
 
 let write_u64 t addr v =
   let off = offset_i addr in
   if off <= page_size - 8 then
-    match lookup_i t (page_number_i addr) with
-    | page ->
-        dirty t page;
-        Bytes.set_int64_le page.data off v
+    match write_page t (page_number_i addr) with
+    | data -> Bytes.set_int64_le data off v
     | exception Not_found -> raise (Fault { addr; access = Write })
   else write t addr 8 v
 

@@ -49,6 +49,20 @@ val read_u64 : t -> int64 -> int64
 
 val write_u64 : t -> int64 -> int64 -> unit
 
+(** [read_page t pn] is the backing bytes of page number [pn]
+    ([addr lsr page_bits]), through the soft-TLB; raises [Not_found]
+    when the page is unmapped. For per-instruction paths that compute
+    page number and offset themselves, so that no boxed address crosses
+    a module boundary. The bytes are little-endian guest memory; they
+    are only valid until the next write through this space. *)
+val read_page : t -> int -> bytes
+
+(** [write_page t pn] is {!read_page} for a write that is about to
+    happen: it first privatises a copy-on-write page and, for a page
+    holding decoded instructions, bumps {!generation} and
+    {!code_writes}, exactly as {!write} does. *)
+val write_page : t -> int -> bytes
+
 (** Bulk reads/writes; fault on any unmapped byte. *)
 val read_bytes : t -> int64 -> int -> bytes
 

@@ -15,7 +15,7 @@ type t = {
   ways : int;
   sets : int;
   set_mask : int;  (* sets - 1 when sets is a power of two, else -1 *)
-  line_bits : int;
+  key_shift : int;  (* log2 line_bytes - 1: line = key lsr key_shift *)
   (* [ways] line numbers per set, most recent first; -1 = invalid. A
      line only ever enters at the front, so invalid entries always sit
      behind the valid ones and the last entry is the LRU victim. *)
@@ -34,14 +34,20 @@ let create cfg =
     ways = cfg.ways;
     sets;
     set_mask = (if sets land (sets - 1) = 0 then sets - 1 else -1);
-    line_bits;
+    key_shift = line_bits - 1;
     tags = Array.make (sets * cfg.ways) (-1);
     hits = 0;
     misses = 0;
   }
 
-let[@inline] access t addr =
-  let line = Int64.to_int (Int64.shift_right_logical addr t.line_bits) in
+(* The immediate address form: [addr] shifted right by one bit fits an
+   OCaml [int], and shifting that right by [line_bits - 1] (at least 1,
+   as lines are at least 4 bytes) yields exactly the line number the
+   64-bit address has, kernel-half addresses included. *)
+let key addr = Int64.to_int (Int64.shift_right_logical addr 1)
+
+let[@inline] access_key t k =
+  let line = k lsr t.key_shift in
   let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets in
   let base = set * t.ways in
   let tags = t.tags in
@@ -74,11 +80,13 @@ let[@inline] access t addr =
     end
   end
 
-(* The body of [Timing.walk]. It lives here so that [access] inlines
-   into it: a level probe costs no call. *)
-let walk levels addr =
+let access t addr = access_key t (key addr)
+
+(* The body of [Timing.walk]. It lives here so that [access_key]
+   inlines into it: a level probe costs no call. *)
+let walk levels k =
   let i = ref 0 in
-  while !i < Array.length levels && not (access (Array.unsafe_get levels !i) addr) do
+  while !i < Array.length levels && not (access_key (Array.unsafe_get levels !i) k) do
     incr i
   done;
   !i

@@ -29,8 +29,15 @@ val create : config -> t
     on miss the line is filled. *)
 val access : t -> int64 -> bool
 
-(** {!Timing.walk}, the one cache-hierarchy walk. *)
-val walk : t array -> int64 -> int
+(** [key addr] is the immediate form of a 64-bit address the hot paths
+    pass instead of the boxed [int64]:
+    [Int64.to_int (Int64.shift_right_logical addr 1)]. Every line size
+    (at least 4 bytes) recovers the exact line number from it. *)
+val key : int64 -> int
+
+(** {!Timing.walk} over an address in its {!key} form: the one
+    cache-hierarchy walk. *)
+val walk : t array -> int -> int
 
 (** Independent structural clone — identical future hit/miss behaviour,
     identical stats, no shared mutable state (machine snapshots). *)

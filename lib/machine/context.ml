@@ -6,9 +6,10 @@ open Elfie_isa
    Bytes accessors move unboxed int64 values directly — a register
    write from the interpreter's hot loop is a plain 8-byte store.
    In-memory order is host-native (the accessor pair is internally
-   consistent on any host); serialization fixes little-endian. *)
-external unsafe_get_64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external unsafe_set_64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+   consistent on any host); serialization fixes little-endian. The
+   accessors are primitives, so they stay unboxed in other modules too. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 type t = {
   gprs : Bytes.t;
@@ -42,12 +43,9 @@ let copy t =
     xmm = Bytes.copy t.xmm;
   }
 
-let[@inline] geti t i = unsafe_get_64 t.gprs (i lsl 3)
-let[@inline] seti t i v = unsafe_set_64 t.gprs (i lsl 3) v
-let[@inline] bget g i = unsafe_get_64 g (i lsl 3)
-let[@inline] bset g i v = unsafe_set_64 g (i lsl 3) v
-let get t r = geti t (Reg.gpr_index r)
-let set t r v = seti t (Reg.gpr_index r) v
+let gpr_offset r = Reg.gpr_index r lsl 3
+let get t r = get64 t.gprs (gpr_offset r)
+let set t r v = set64 t.gprs (gpr_offset r) v
 
 let xmm_lane t i lane = Bytes.get_int64_le t.xmm ((i * 16) + (lane * 8))
 let set_xmm_lane t i lane v = Bytes.set_int64_le t.xmm ((i * 16) + (lane * 8)) v
@@ -61,7 +59,7 @@ let xrstor t img =
 let to_bytes t =
   let w = Elfie_util.Byteio.Writer.create ~capacity:(xsave_size + 160) () in
   for i = 0 to gpr_count - 1 do
-    Elfie_util.Byteio.Writer.u64 w (geti t i)
+    Elfie_util.Byteio.Writer.u64 w (get64 t.gprs (i lsl 3))
   done;
   Elfie_util.Byteio.Writer.u64 w t.rip;
   Elfie_util.Byteio.Writer.u64 w (Reg.flags_to_word t.flags);
@@ -74,7 +72,7 @@ let of_bytes b =
   let r = Elfie_util.Byteio.Reader.of_bytes b in
   let t = create () in
   for i = 0 to gpr_count - 1 do
-    seti t i (Elfie_util.Byteio.Reader.u64 r)
+    set64 t.gprs (i lsl 3) (Elfie_util.Byteio.Reader.u64 r)
   done;
   t.rip <- Elfie_util.Byteio.Reader.u64 r;
   let fl = Reg.flags_of_word (Elfie_util.Byteio.Reader.u64 r) in

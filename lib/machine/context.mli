@@ -13,8 +13,8 @@ type t = {
           [8 * Reg.gpr_index]. A byte buffer rather than an
           [int64 array] so register reads/writes move unboxed values
           (no allocation, no write barrier on the interpreter's hot
-          path); access it through {!get}/{!set}/{!geti}/{!seti} or the
-          raw-buffer pair {!bget}/{!bset}. *)
+          path); access it through {!get}/{!set} or, from compiled
+          code, the raw-buffer primitives {!get64}/{!set64}. *)
   mutable rip : int64;
   flags : Elfie_isa.Reg.flags;
   mutable fs_base : int64;
@@ -27,17 +27,17 @@ val copy : t -> t
 val get : t -> Elfie_isa.Reg.gpr -> int64
 val set : t -> Elfie_isa.Reg.gpr -> int64 -> unit
 
-(** Index-based register access ([Reg.gpr_index] order). *)
-val geti : t -> int -> int64
+(** Byte offset of a register's slot in {!field-gprs}: [8 * Reg.gpr_index r]. *)
+val gpr_offset : Elfie_isa.Reg.gpr -> int
 
-val seti : t -> int -> int64 -> unit
+(** Unchecked host-endian 64-bit accessors over {!field-gprs}, at the
+    byte offset {!gpr_offset} gives. Primitives rather than functions,
+    so a caller in another module moves the value unboxed even when
+    cross-module inlining is off (dune's dev profile compiles with
+    [-opaque]). The offset is not checked. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-(** Unchecked accessors over the raw {!field-gprs} buffer, for compiled
-    code that hoists the buffer out of its inner loop. [i] is a register
-    index in [0, 15]. *)
-val bget : Bytes.t -> int -> int64
-
-val bset : Bytes.t -> int -> int64 -> unit
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (** Lane accessors for the vector unit: [xmm_lane ctx i lane] reads
     64-bit lane 0 or 1 of register [i]. *)

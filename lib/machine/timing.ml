@@ -2,7 +2,7 @@ open Elfie_isa
 
 (* --- Shared mechanisms ---------------------------------------------------- *)
 
-let walk = Cache.walk
+let walk levels addr = Cache.walk levels (Cache.key addr)
 let predictor_entries = 4096
 let predictor () = Bytes.make predictor_entries '\002'
 
@@ -12,17 +12,18 @@ let predictor () = Bytes.make predictor_entries '\002'
    unpredictable) guest branch direction. *)
 let bp_next = "\000\001\000\002\001\003\002\003"
 
-let[@inline] mispredicted p ~pc ~taken =
-  (* Bits 1..12 of the pc; [Int64.to_int] keeps bits 0..62 and the mask
-     only looks at the low ones, so this equals shifting the int64 —
-     without materialising a boxed intermediate. *)
+(* [pc] is the branch pc as [Int64.to_int] gives it: bits 1..12 index
+   the table, and [Int64.to_int] keeps bits 0..62. *)
+let[@inline] predict p pc taken =
   let ti = Bool.to_int taken in
-  let idx = Int64.to_int pc lsr 1 land (predictor_entries - 1) in
+  let idx = pc lsr 1 land (predictor_entries - 1) in
   let counter = Char.code (Bytes.unsafe_get p idx) in
   Bytes.unsafe_set p idx (String.unsafe_get bp_next ((counter lsl 1) lor ti));
   (* Prediction is the counter's high bit; mispredicted iff it differs
      from the actual direction. *)
   (counter lsr 1) lxor ti
+
+let mispredicted p ~pc ~taken = predict p (Int64.to_int pc) taken
 
 (* --- The machine's own "hardware" ---------------------------------------- *)
 
@@ -56,7 +57,5 @@ let create () =
 (* Independent clone: forked machines must charge the same penalties
    the parent would have, without aliasing predictor or tag state. *)
 let copy t = { levels = Array.map Cache.copy t.levels; predictor = Bytes.copy t.predictor }
-let mem_cost t addr = Array.unsafe_get penalties (walk t.levels addr)
-
-let branch_cost t ~pc ~taken =
-  mispredicted t.predictor ~pc ~taken * mispredict_cycles
+let mem_cost t k = Array.unsafe_get penalties (Cache.walk t.levels k)
+let branch_cost t ~pc ~taken = predict t.predictor pc taken * mispredict_cycles

@@ -47,9 +47,12 @@ val copy : t -> t
 (** Base cost of executing one instruction of a class. *)
 val ins_cost : Elfie_isa.Insn.klass -> int
 
-(** Penalty cycles for a data access at [addr]. *)
-val mem_cost : t -> int64 -> int
+(** [mem_cost t k] is the penalty in cycles for a data access at the
+    address whose {!Cache.key} is [k]. The machine's per-instruction
+    paths pass immediates only, so no boxed [int64] crosses into this
+    module. *)
+val mem_cost : t -> int -> int
 
-(** Penalty cycles for a conditional branch at [pc] that was [taken],
-    updating the predictor. *)
-val branch_cost : t -> pc:int64 -> taken:bool -> int
+(** Penalty cycles for a conditional branch that was [taken], updating
+    the predictor. [pc] is the branch pc as [Int64.to_int] gives it. *)
+val branch_cost : t -> pc:int -> taken:bool -> int

@@ -322,11 +322,11 @@ let test_walk_matches_oracle () =
 let test_timing_predictor_learns () =
   let t = Timing.create () in
   (* Always-taken branch: after training, no penalty. *)
-  ignore (Timing.branch_cost t ~pc:0x40L ~taken:true);
-  ignore (Timing.branch_cost t ~pc:0x40L ~taken:true);
-  Alcotest.(check int) "trained" 0 (Timing.branch_cost t ~pc:0x40L ~taken:true);
+  ignore (Timing.branch_cost t ~pc:0x40 ~taken:true);
+  ignore (Timing.branch_cost t ~pc:0x40 ~taken:true);
+  Alcotest.(check int) "trained" 0 (Timing.branch_cost t ~pc:0x40 ~taken:true);
   Alcotest.(check bool) "surprise costs" true
-    (Timing.branch_cost t ~pc:0x40L ~taken:false > 0)
+    (Timing.branch_cost t ~pc:0x40 ~taken:false > 0)
 
 (* Random branch streams through the shared predictor and the
    simulators' former min/max one: the same mispredict sequence and the

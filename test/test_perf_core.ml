@@ -1023,6 +1023,44 @@ let test_pipeline_parallel_equals_sequential () =
       (Format.asprintf "%f %f" seq.Pipeline.elfie_pred_cpi seq.Pipeline.coverage)
       (Format.asprintf "%f %f" par.Pipeline.elfie_pred_cpi par.Pipeline.coverage)
 
+(* --- allocation guard -------------------------------------------------------- *)
+
+(* The hot-path rule (docs/PERFORMANCE.md): dune's dev profile compiles
+   with [-opaque], so an [int64] passed across a module boundary is
+   boxed, and no per-instruction path of the machine may pass one. A
+   hook-free run then allocates next to nothing per retired
+   instruction; a single boxed register or memory access costs three
+   words per use. Allocation is deterministic, so the bound cannot
+   flake. Only the steady state is measured: the first 200 k
+   instructions translate every block of the kernels. *)
+let hook_free_words_per_ins kernels =
+  let phases =
+    List.map (fun kernel -> { Elfie_workloads.Programs.kernel; reps = 4000 }) kernels
+  in
+  let spec =
+    Elfie_workloads.Programs.spec ~phases ~outer_reps:200 ~threads:1
+      ~ws_bytes:65536 "alloc-guard"
+  in
+  let machine, _ =
+    Elfie_pin.Run.instantiate (Elfie_workloads.Programs.run_spec ~seed:1L spec)
+  in
+  Machine.run ~max_ins:200_000L machine;
+  let before = Machine.total_retired machine in
+  let w0 = Gc.minor_words () in
+  Machine.run ~max_ins:1_200_000L machine;
+  let words = Gc.minor_words () -. w0 in
+  words /. Int64.to_float (Int64.sub (Machine.total_retired machine) before)
+
+let test_hook_free_allocation () =
+  List.iter
+    (fun (name, kernels) ->
+      let w = hook_free_words_per_ins kernels in
+      if w > 0.5 then
+        Alcotest.failf "%s: %.3f words allocated per retired instruction (bound 0.5)"
+          name w)
+    [ ("stream+branchy", Elfie_workloads.Kernels.[ Stream; Branchy ]);
+      ("vector", Elfie_workloads.Kernels.[ Vector ]) ]
+
 let suite =
   [ Alcotest.test_case "SMC: patched call target" `Quick test_smc_patch_invalidates;
     Alcotest.test_case "SMC: hot-loop patch" `Quick test_smc_hot_loop;
@@ -1052,4 +1090,6 @@ let suite =
     Alcotest.test_case "profile: parallel notes" `Quick test_profile_parallel;
     Alcotest.test_case "journal: parallel records" `Quick test_journal_parallel;
     Alcotest.test_case "pipeline: parallel ≡ sequential" `Slow
-      test_pipeline_parallel_equals_sequential ]
+      test_pipeline_parallel_equals_sequential;
+    Alcotest.test_case "hook-free run allocates <= 0.5 words/ins" `Quick
+      test_hook_free_allocation ]
